@@ -44,7 +44,6 @@ from .isi import (
     displacement_range,
     empirical_isi_dist,
     fortet_mourier,
-    isi_density_lif_empirical,
     isi_density_pi,
     isi_sequence,
     perturbation_harness,
@@ -117,7 +116,6 @@ __all__ = [
     "estimate_conjugacy",
     "firing_time",
     "fortet_mourier",
-    "isi_density_lif_empirical",
     "isi_density_pi",
     "isi_sequence",
     "iterate",

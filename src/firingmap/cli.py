@@ -20,7 +20,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FiringMapError
 from .firing import IFSystem, Regime, iterate
@@ -68,7 +68,6 @@ class RunConfig:
     residual_tol: float = 1e-8
     q_max: int = 64
     grid_size: int = 64
-    extra: dict = field(default_factory=dict)
 
 
 _RUN_KEYS = {

@@ -16,12 +16,20 @@ t.  Two regimes are supported:
 * nonnegative perfect integrator: sigma = 0 with f >= 0 a.e. and positive
   mean, where the map is non-decreasing and left continuous but may jump.
 
+One solver, :func:`_newton_step`, finds every crossing: a warm-startable
+safeguarded Newton iteration on the signal's periodic antiderivative
+(:meth:`PeriodicSignal.kernel`), used by :func:`firing_time`,
+:func:`iterate` and :func:`iterate_cumulative_pi`.  The one exception is a
+piecewise-constant drive with sigma = 0, whose crossings are found exactly
+by a rational segment walk; a constant drive has a closed form.
+
 Firing times are absolute; nothing here reduces orbits mod 1.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -33,8 +41,8 @@ from .signals import (
     EssentialBounds,
     PeriodicSignal,
     PiecewiseConstant,
+    Sampled,
     TrigPolynomial,
-    frac,
 )
 
 _STRICT_TOL = 1e-9  # ess inf(f - sigma) must clear this to count as strict
@@ -133,12 +141,12 @@ class Orbit:
         return self.times - np.floor(self.times)
 
 
-def _max_displacement(system: IFSystem) -> float:
+def _max_displacement(system: IFSystem, threshold: float = 1.0) -> float:
     lo = system.bounds.lower
     if lo > _STRICT_TOL:
-        return 1.0 / lo + 1e-9
-    # nonneg PI: one threshold of mass arrives within ceil(1/mean)+1 periods
-    return 1.0 / system.signal.mean() + 2.0
+        return threshold / lo + 1e-9
+    # nonneg PI: the threshold's mass arrives within ceil(threshold/mean)+1 periods
+    return threshold / system.signal.mean() + 2.0
 
 
 def _constant_displacement(system: IFSystem) -> float | None:
@@ -149,47 +157,118 @@ def _constant_displacement(system: IFSystem) -> float | None:
     return None
 
 
-def _solve_displacement(system: IFSystem, t: float, guess: float | None = None) -> float:
-    """Root of g(d) = integral_t^{t+d} [f-sigma] e^{sigma(u-t)} du - 1, d > 0.
+def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
+    """Displacement d > 0 of the first crossing after a reset at t.
 
-    Safeguarded Newton within a maintained bracket; falls back to plain
-    bisection whenever a Newton step leaves the bracket.
+    Solves g(d) = 0 for g(d) = exp(sigma*d) Q(t+d) - Q(t) - threshold
+    (sigma > 0) or mean*d + Q(t+d) - Q(t) - threshold (sigma = 0), where
+    ``(Q, f) = kern(x)`` and ``q0 = Q(t)``; g' is (f - sigma) exp(sigma*d) or
+    f.  Safeguarded Newton from the warm start ``d`` inside a bracket
+    [lo, hi].  The upper end starts at the bound ``hi`` from the essential
+    bounds, which is trusted only until the iteration runs into it: then it
+    doubles, at most 80 times.  So every return has a residual within
+    tolerance or a bracket whose ends were both evaluated.  Returns
+    ``(d, Q(t + d))``.
     """
-    sig = system.signal
-    sigma = system.sigma
-    lo = 0.0
-    hi = _max_displacement(system)
-    expand = 0
-    while sig.weighted_integral_scaled(sigma, t, hi) < 1.0:
-        lo = hi  # essential bound may be slightly optimistic
-        hi *= 2.0
-        expand += 1
-        if expand > 80:
-            raise NoConvergenceError("could not bracket the firing time")
-
-    d = guess if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+    exp, log1p = math.exp, math.log1p
+    lo, top, doublings = 0.0, hi, 0  # g(top) >= 0 is unverified
+    if d is None or not lo < d < hi:
+        d = 0.5 * hi
     # t + d is representable only to ulp(t); don't demand finer than that
-    width_tol = max(1e-15 * max(1.0, hi), 8e-16 * abs(t))
+    width_tol = max(1e-15, 1e-15 * hi, 8e-16 * abs(t))
     for _ in range(_MAX_ITER):
-        g = sig.weighted_integral_scaled(sigma, t, d) - 1.0
-        if abs(g) <= _RESIDUAL_TOL:
-            return d
+        q1, fx = kern(t + d)
+        if sigma > 0.0:
+            e = exp(sigma * d)
+            g = e * q1 - q0 - threshold
+            dg = (fx - sigma) * e
+            # Newton in exp(sigma*d), in which g is affine on every step piece
+            r = sigma * g / dg if dg > 0.0 else 1.0
+            cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
+        else:
+            g = mean * d + q1 - q0 - threshold
+            dg = fx
+            cand = d - g / dg if dg > 0.0 else -1.0
+        if abs(g) <= _RESIDUAL_TOL * dg and abs(g) <= _RESIDUAL_TOL:  # |g| and |g/g'|
+            return d, q1
         if g > 0.0:
             hi = d
         else:
             lo = d
-        if hi - lo <= width_tol:
-            return 0.5 * (lo + hi)
-        dg = (sig.eval(t + d) - sigma) * math.exp(sigma * d)
-        step_ok = False
-        if dg > 0.0:
-            cand = d - g / dg
-            if lo < cand < hi:
-                d = cand
-                step_ok = True
-        if not step_ok:
+        if hi == top and (cand >= hi or hi - lo <= width_tol):
+            # the crossing may lie past the unverified end: the bound was optimistic
+            doublings += 1
+            if doublings > 80:
+                raise NoConvergenceError(f"could not bracket the firing time after t={t!r}")
+            hi = top = 2.0 * top
+        elif hi - lo <= width_tol:
             d = 0.5 * (lo + hi)
-    raise NoConvergenceError("firing-time iteration did not converge")
+            return d, kern(t + d)[0]
+        d = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise NoConvergenceError(
+        f"firing-time iteration did not converge after t={t!r}: "
+        f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+    )
+
+
+def _zero_run_start(sig: Sampled, x: float, g_at) -> float:
+    """Left grid node of a zero run of ``sig`` that x lies on or next to.
+
+    The cumulative input is flat on a zero run, so when the run's left node
+    meets the threshold to tolerance (``|g_at(node)|``), it is the leftmost
+    crossing.  Any other x is returned unchanged.
+    """
+    v, n = sig.values, sig.values.size
+
+    def zero(i):  # whether the grid cell [i/n, (i+1)/n] is a zero run
+        return v[i % n] == 0.0 and v[(i + 1) % n] == 0.0
+
+    j = math.floor(x * n)  # x lies in the cell [j/n, (j+1)/n)
+    if zero(j + 1):
+        j += 1
+    elif not (zero(j) or zero(j - 1)):
+        return x
+    while zero(j - 1):
+        j -= 1
+    node = j / n
+    return node if abs(g_at(node)) <= _RESIDUAL_TOL else x
+
+
+def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) -> np.ndarray:
+    """n firing times from t0: the orbit, or with ``cumulative`` the crossings
+    of the thresholds 1..n by the input integrated from t0 (sigma = 0)."""
+    system.regime  # validates
+    sig, sigma = system.signal, system.sigma
+    d = _constant_displacement(system)
+    if d is not None:
+        return t0 + d * np.arange(1, n + 1)
+    times = np.empty(n)
+    if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
+        t = t0
+        for i in range(n):
+            if cumulative:
+                times[i] = float(_pi_pwc_crossing(sig, t0, Fraction(i + 1)))
+            else:
+                t = times[i] = float(_pi_pwc_crossing(sig, t, Fraction(1)))
+        return times
+    kern, mean = sig.kernel(sigma), sig.mean()
+    snap = isinstance(sig, Sampled) and sigma == 0.0
+    t, q0 = t0, kern(t0)[0]
+    dmax, threshold, d = _max_displacement(system), 1.0, None
+    for i in range(n):
+        if cumulative:
+            threshold = float(i + 1)
+            dmax = _max_displacement(system, threshold)
+        d, q1 = _newton_step(kern, sigma, mean, t, q0, threshold, dmax, d)
+        x = t + d
+        if snap:
+            y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - threshold)
+            if y != x:
+                x, q1, d = y, kern(y)[0], y - t
+        times[i] = x
+        if not cumulative:
+            t, q0 = x, q1
+    return times
 
 
 def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, threshold: Fraction) -> Fraction:
@@ -205,13 +284,7 @@ def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, threshold: Fraction) -> F
             return x
         k = math.floor(x)
         tau = x - k
-        # segment containing tau
-        i = 0
-        for j in range(len(fv)):
-            if fb[j] <= tau:
-                i = j
-            else:
-                break
+        i = bisect_right(fb, tau) - 1  # segment containing tau
         seg_end = k + fb[i + 1]
         v = fv[i]
         cap = v * (seg_end - x)
@@ -222,75 +295,9 @@ def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, threshold: Fraction) -> F
     raise NoConvergenceError("piecewise-constant crossing walk did not terminate")
 
 
-def _pwc_lif_displacement(system: IFSystem, t: float) -> float:
-    """Segment-exact crossing for sigma > 0 piecewise-constant input."""
-    sig: PiecewiseConstant = system.signal  # type: ignore[assignment]
-    sigma = system.sigma
-    acc = 0.0
-    cur = t
-    e_cur = 1.0
-    for _ in range(100000):
-        tau = frac(cur)
-        i = 0
-        for j, b in enumerate(sig.breakpoints):
-            if b <= tau:
-                i = j
-            else:
-                break
-        seg_end = math.floor(cur) + float(sig._fb[i + 1])
-        if seg_end <= cur:  # k + b can round onto cur; step off the sticky point
-            seg_end = np.nextafter(cur, math.inf)
-        v = sig.values[i]
-        coef = (v - sigma) / sigma
-        e_end = math.exp(sigma * (seg_end - t))
-        gain = coef * (e_end - e_cur)
-        if acc + gain >= 1.0:
-            e_cross = e_cur + (1.0 - acc) / coef
-            return math.log(e_cross) / sigma
-        acc += gain
-        cur, e_cur = seg_end, e_end
-    raise NoConvergenceError("piecewise-constant LIF walk did not terminate")
-
-
-def _nonneg_pi_infimum(system: IFSystem, t: float, threshold: float = 1.0) -> float:
-    """Leftmost point where the cumulative input reaches the threshold.
-
-    Plain predicate bisection; converges to the left edge of any plateau of
-    the cumulative integral, matching the infimum in the firing-map
-    definition and left continuity of the map.
-    """
-    sig = system.signal
-    lo = 0.0
-    hi = threshold / sig.mean() + 2.0
-    while sig.integral(t, t + hi) < threshold:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NoConvergenceError("could not bracket the threshold crossing")
-    width_tol = max(1e-14 * max(1.0, hi), 8e-16 * abs(t))
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if sig.integral(t, t + mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= width_tol:
-            break
-    return t + hi
-
-
 def firing_time(system: IFSystem, t: float) -> float:
     """Next firing time Phi(t) after a reset at time t."""
-    regime = system.regime  # validates
-    d = _constant_displacement(system)
-    if d is not None:
-        return t + d
-    if isinstance(system.signal, PiecewiseConstant):
-        if system.sigma == 0.0:
-            return float(_pi_pwc_crossing(system.signal, t, Fraction(1)))
-        return t + _pwc_lif_displacement(system, t)
-    if regime is Regime.STRICT_LIF:
-        return t + _solve_displacement(system, t)
-    return _nonneg_pi_infimum(system, t)
+    return float(_crossings(system, t, 1)[0])
 
 
 def displacement(system: IFSystem, t: float) -> float:
@@ -302,119 +309,7 @@ def iterate(system: IFSystem, t0: float, n: int) -> Orbit:
     """The orbit t_1 = Phi(t0), ..., t_n = Phi(t_{n-1})."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    regime = system.regime
-    d = _constant_displacement(system)
-    if d is not None:
-        times = t0 + d * np.arange(1, n + 1)
-        return Orbit(t0, times)
-    times = np.empty(n)
-    if isinstance(system.signal, PiecewiseConstant):
-        t = t0
-        if system.sigma == 0.0:
-            for i in range(n):
-                t = float(_pi_pwc_crossing(system.signal, t, Fraction(1)))
-                times[i] = t
-        else:
-            for i in range(n):
-                t = t + _pwc_lif_displacement(system, t)
-                times[i] = t
-        return Orbit(t0, times)
-    if regime is Regime.NONNEG_PI:
-        t = t0
-        for i in range(n):
-            t = _nonneg_pi_infimum(system, t)
-            times[i] = t
-        return Orbit(t0, times)
-    if isinstance(system.signal, TrigPolynomial):
-        _fast_trig_orbit(system, t0, times)
-        return Orbit(t0, times)
-    t = t0
-    guess = None
-    for i in range(n):
-        step = _solve_displacement(system, t, guess)
-        t = t + step
-        times[i] = t
-        guess = step
-    return Orbit(t0, times)
-
-
-def _fast_trig_orbit(system: IFSystem, t0: float, out: np.ndarray) -> None:
-    """Warm-started Newton orbit loop for trigonometric drives.
-
-    Fuses the threshold-equation residual and its derivative into a single
-    evaluation (they share the same sines and cosines), which is what makes
-    million-spike runs affordable.
-    """
-    sig: TrigPolynomial = system.signal  # type: ignore[assignment]
-    sigma = system.sigma
-    a0 = sig.a0
-    hs = [(2.0 * math.pi * k, c, s) for k, c, s in sig.harmonics]
-    s2 = sigma * sigma
-    exp, floor, cos, sin = math.exp, math.floor, math.cos, math.sin
-    dmax = _max_displacement(system)
-
-    if sigma > 0.0:
-        def q_at(x):
-            tau = x - floor(x)
-            q = (a0 - sigma) / sigma
-            fx = a0
-            for w, c, s in hs:
-                th = w * tau
-                ct, st = cos(th), sin(th)
-                q += (c * (sigma * ct + w * st) + s * (sigma * st - w * ct)) / (s2 + w * w)
-                fx += c * ct + s * st
-            return q, fx
-    else:
-        def q_at(x):
-            tau = x - floor(x)
-            q = 0.0
-            fx = a0
-            for w, c, s in hs:
-                th = w * tau
-                ct, st = cos(th), sin(th)
-                q += (c * st - s * ct) / w
-                fx += c * ct + s * st
-            return q, fx
-
-    t = t0
-    q0, _ = q_at(t)
-    d_prev = None
-    n = len(out)
-    for i in range(n):
-        lo, hi = 0.0, dmax
-        d = d_prev if d_prev is not None and 0.0 < d_prev < dmax else 0.5 * dmax
-        width_tol = max(1e-15 * max(1.0, dmax), 8e-16 * abs(t))
-        q1 = 0.0
-        for _ in range(_MAX_ITER):
-            q1, fx = q_at(t + d)
-            if sigma > 0.0:
-                e = exp(sigma * d)
-                g = e * q1 - q0 - 1.0
-                dg = (fx - sigma) * e
-            else:
-                g = a0 * d + q1 - q0 - 1.0
-                dg = fx
-            if abs(g) <= _RESIDUAL_TOL:
-                break
-            if g > 0.0:
-                hi = d
-            else:
-                lo = d
-            if hi - lo <= width_tol:
-                d = 0.5 * (lo + hi)
-                q1, _ = q_at(t + d)
-                break
-            if dg > 0.0:
-                cand = d - g / dg
-                d = cand if lo < cand < hi else 0.5 * (lo + hi)
-            else:
-                d = 0.5 * (lo + hi)
-        else:
-            raise NoConvergenceError("orbit iteration did not converge")
-        t = t + d
-        out[i] = t
-        q0 = q1
-        d_prev = d
+    return Orbit(t0, _crossings(system, t0, n))
 
 
 def iterate_cumulative_pi(system: IFSystem, t0: float, n: int) -> Orbit:
@@ -429,14 +324,7 @@ def iterate_cumulative_pi(system: IFSystem, t0: float, n: int) -> Orbit:
     system.regime  # validate
     if n < 1:
         raise ValueError("n must be >= 1")
-    times = np.empty(n)
-    if isinstance(system.signal, PiecewiseConstant):
-        for m in range(1, n + 1):
-            times[m - 1] = float(_pi_pwc_crossing(system.signal, t0, Fraction(m)))
-        return Orbit(t0, times)
-    for m in range(1, n + 1):
-        times[m - 1] = _nonneg_pi_infimum(system, t0, threshold=float(m))
-    return Orbit(t0, times)
+    return Orbit(t0, _crossings(system, t0, n, cumulative=True))
 
 
 def derivative(system: IFSystem, t: float) -> float:

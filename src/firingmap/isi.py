@@ -425,56 +425,6 @@ def isi_density_pi(
     return DensityCurve(ys, density, singular, (lo, hi))
 
 
-def isi_density_lif_empirical(
-    system: IFSystem,
-    y_grid: Sequence[float] | None = None,
-    n_orbit: int = 200_000,
-    root_grid_size: int = 1024,
-    phase_bins: int = 256,
-    n_y: int = 256,
-) -> DensityCurve:
-    """Experimental leaky-integrator analogue of :func:`isi_density_pi`.
-
-    The conjugacy derivative has no closed form for sigma > 0, so the
-    invariant density is estimated from a long orbit's phase histogram and
-    substituted into the same transport formula.  No accuracy guarantee.
-    """
-    if system.regime is not Regime.STRICT_LIF:
-        raise ValueError("requires the strict regime")
-    orbit = iterate(system, 0.0, n_orbit)
-    counts, edges = np.histogram(orbit.phases, bins=phase_bins, range=(0.0, 1.0))
-    gamma_prime = counts * (phase_bins / n_orbit)
-
-    def gprime(t: float) -> float:
-        i = min(int((t - math.floor(t)) * phase_bins), phase_bins - 1)
-        return float(gamma_prime[i])
-
-    psi_at = Displacement(system)
-    ts = np.linspace(0.0, 1.0, root_grid_size + 1)
-    psi_grid = psi_at.on_grid(ts)
-    lo, hi = displacement_range(system, grid_size=root_grid_size)
-    width = hi - lo
-    if y_grid is None:
-        pad = 1e-9 * width
-        theta = np.linspace(0.0, math.pi, n_y)
-        y_grid = (lo + pad) + 0.5 * (width - 2 * pad) * (1.0 - np.cos(theta))
-    ys = np.asarray(y_grid, dtype=float)
-    density = np.zeros_like(ys)
-    for j, y in enumerate(ys):
-        if y < lo or y > hi:
-            continue
-        total = 0.0
-        for t in _psi_roots(psi_grid, ts, psi_at, float(y)):
-            dphi = derivative(system, t)
-            if abs(dphi - 1.0) < 1e-12:
-                total = math.inf
-                break
-            total += gprime(t) / abs(dphi - 1.0)
-        density[j] = total
-    singular = ~np.isfinite(density)
-    return DensityCurve(ys, density, singular, (lo, hi))
-
-
 @dataclass(frozen=True)
 class PerturbationReport:
     """Uniform firing-map deviations and the ISI-distribution distance."""

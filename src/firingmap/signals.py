@@ -2,13 +2,14 @@
 
 Three concrete families are supported:
 
-* :class:`TrigPolynomial` -- a finite cosine/sine series, all integrals in
-  closed form;
-* :class:`PiecewiseConstant` -- left-closed/right-open steps, integrals done
-  in exact rational arithmetic;
-* :class:`Sampled` -- values on a uniform grid with linear interpolation,
-  integrals exact for the interpolant, exponentially weighted integrals by
-  composite Simpson quadrature (approximate).
+* :class:`TrigPolynomial` -- a finite cosine/sine series;
+* :class:`PiecewiseConstant` -- left-closed/right-open steps, plain integrals
+  done in exact rational arithmetic;
+* :class:`Sampled` -- values on a uniform grid with linear interpolation.
+
+Every integral goes through one periodic antiderivative per signal and leak
+rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
+the interpolant of a sampled signal).
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -46,7 +47,20 @@ class EssentialBounds:
 
 
 class PeriodicSignal(ABC):
-    """A 1-periodic, locally integrable input current."""
+    """A 1-periodic, locally integrable input current.
+
+    Subclasses set ``_mean``, the average of f over one period.
+    """
+
+    _mean: float
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # bind the shared integrals on every kind, so each kind's own
+        # attribute can be wrapped (e.g. by a profiler) without touching
+        # the others
+        for name in ("integral", "weighted_integral_scaled"):
+            setattr(cls, name, getattr(cls, name))
 
     @abstractmethod
     def eval(self, t: float) -> float:
@@ -57,10 +71,27 @@ class PeriodicSignal(ABC):
         """Vectorized :meth:`eval`."""
 
     @abstractmethod
+    def _make_kernel(self, sigma: float):
+        """Build the closure that :meth:`kernel` returns."""
+
+    def kernel(self, sigma: float):
+        """Fused closure x -> (Q(x mod 1), f(x)), built once per sigma.
+
+        Q is the periodic part of an antiderivative: for sigma > 0,
+        d/du [exp(sigma*u) Q(u mod 1)] = [f(u) - sigma] exp(sigma*u); for
+        sigma = 0, d/du [mean*u + Q(u mod 1)] = f(u).
+        """
+        kernels = self.__dict__.setdefault("_kernels", {})
+        kern = kernels.get(sigma)
+        if kern is None:
+            kern = kernels[sigma] = self._make_kernel(sigma)
+        return kern
+
     def integral(self, a: float, b: float) -> float:
         """Plain integral of f over [a, b] (a <= b)."""
+        q = self.kernel(0.0)
+        return self._mean * (b - a) + q(b)[0] - q(a)[0]
 
-    @abstractmethod
     def weighted_integral_scaled(self, sigma: float, t: float, delta: float) -> float:
         """Integral of [f(u) - sigma] * exp(sigma*(u - t)) over [t, t + delta].
 
@@ -68,6 +99,10 @@ class PeriodicSignal(ABC):
         finite for arbitrarily large t, which is what the firing-time solver
         needs.
         """
+        if sigma == 0.0:
+            return self.integral(t, t + delta)
+        q = self.kernel(sigma)
+        return math.exp(sigma * delta) * q(t + delta)[0] - q(t)[0]
 
     @abstractmethod
     def essential_bounds(self, sigma: float) -> EssentialBounds:
@@ -90,7 +125,7 @@ class PeriodicSignal(ABC):
 
     def mean(self) -> float:
         """Average of f over one period."""
-        return self.integral(0.0, 1.0)
+        return self._mean
 
 
 class TrigPolynomial(PeriodicSignal):
@@ -110,6 +145,7 @@ class TrigPolynomial(PeriodicSignal):
             raise ValueError("harmonic indices must be pairwise distinct")
         self.a0 = float(a0)
         self.harmonics = tuple(sorted(harmonics))
+        self._mean = self.a0
 
     def __repr__(self):
         return f"TrigPolynomial(a0={self.a0!r}, harmonics={self.harmonics!r})"
@@ -141,40 +177,28 @@ class TrigPolynomial(PeriodicSignal):
             out += -c * w * math.sin(th) + s * w * math.cos(th)
         return out
 
-    def _periodic_antiderivative(self, tau: float) -> float:
-        # 1-periodic part of the antiderivative of f, evaluated at tau in [0,1)
-        out = 0.0
+    def _make_kernel(self, sigma: float):
+        # per harmonic: w, the cos/sin coefficients of Q, the cos/sin coefficients of f
+        a0 = self.a0
+        hs = []
         for k, c, s in self.harmonics:
             w = TWO_PI * k
-            th = w * tau
-            out += (c * math.sin(th) - s * math.cos(th)) / w
-        return out
+            den = sigma * sigma + w * w
+            hs.append((w, (c * sigma - s * w) / den, (c * w + s * sigma) / den, c, s))
+        q_const = (a0 - sigma) / sigma if sigma > 0.0 else 0.0
+        cos, sin = math.cos, math.sin
 
-    def integral(self, a: float, b: float) -> float:
-        return (
-            self.a0 * (b - a)
-            + self._periodic_antiderivative(frac(b))
-            - self._periodic_antiderivative(frac(a))
-        )
+        def kern(x):
+            tau = x % 1.0
+            q, fx = q_const, a0
+            for w, qc, qs, c, s in hs:
+                th = w * tau
+                ct, st = cos(th), sin(th)
+                q += qc * ct + qs * st
+                fx += c * ct + s * st
+            return q, fx
 
-    def _weighted_periodic_part(self, sigma: float, tau: float) -> float:
-        # Q(tau) with d/du [exp(sigma*u) Q(u mod 1)] = [f(u) - sigma] exp(sigma*u)
-        out = (self.a0 - sigma) / sigma
-        s2 = sigma * sigma
-        for k, c, s in self.harmonics:
-            w = TWO_PI * k
-            th = w * tau
-            den = s2 + w * w
-            cth, sth = math.cos(th), math.sin(th)
-            out += (c * (sigma * cth + w * sth) + s * (sigma * sth - w * cth)) / den
-        return out
-
-    def weighted_integral_scaled(self, sigma: float, t: float, delta: float) -> float:
-        if sigma == 0.0:
-            return self.integral(t, t + delta)
-        q0 = self._weighted_periodic_part(sigma, frac(t))
-        q1 = self._weighted_periodic_part(sigma, frac(t + delta))
-        return math.exp(sigma * delta) * q1 - q0
+        return kern
 
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         if not self.harmonics:
@@ -183,15 +207,15 @@ class TrigPolynomial(PeriodicSignal):
         hi = self._extremum(minimize=False)
         return EssentialBounds(lo - sigma, hi)
 
-    _GRID = 4096
-
     def _extremum(self, minimize: bool) -> float:
-        # Dense grid scan refined by Newton/bisection on f' near the winner.
-        ts = np.arange(self._GRID) / self._GRID
+        # Dense grid scan refined by Newton/bisection on f' near the winner;
+        # 16 points per period of the highest harmonic, so none aliases
+        grid = max(4096, 16 * self.harmonics[-1][0])
+        ts = np.arange(grid) / grid
         vals = self.eval_array(ts)
         i = int(np.argmin(vals) if minimize else np.argmax(vals))
         best = float(vals[i])
-        h = 1.0 / self._GRID
+        h = 1.0 / grid
         t0 = float(ts[i])
         root = self._refine_critical(t0 - h, t0 + h)
         if root is not None:
@@ -269,6 +293,7 @@ class PiecewiseConstant(PeriodicSignal):
         self._fcum = [Fraction(0)]
         for i, v in enumerate(self._fv):
             self._fcum.append(self._fcum[-1] + v * (self._fb[i + 1] - self._fb[i]))
+        self._mean = float(self._fcum[-1])
 
     def __repr__(self):
         return f"PiecewiseConstant({list(self.breakpoints)!r}, {list(self.values)!r})"
@@ -305,26 +330,9 @@ class PiecewiseConstant(PeriodicSignal):
     def integral(self, a: float, b: float) -> float:
         return float(self.integral_exact(Fraction(a), Fraction(b)))
 
-    def weighted_integral_scaled(self, sigma: float, t: float, delta: float) -> float:
-        if sigma == 0.0:
-            return self.integral(t, t + delta)
-        # walk segment boundaries, each piece has an elementary antiderivative
-        end = t + delta
-        cur = t
-        total = 0.0
-        while cur < end:
-            tau = frac(cur)
-            i = self._segment_index(tau)
-            nxt = cur + (float(self._fb[i + 1]) - tau)
-            if nxt <= cur:  # guard against zero-length steps from roundoff
-                nxt = np.nextafter(cur, math.inf)
-            stop = min(nxt, end)
-            v = self.values[i]
-            total += (v - sigma) / sigma * (
-                math.exp(sigma * (stop - t)) - math.exp(sigma * (cur - t))
-            )
-            cur = stop
-        return total
+    def _make_kernel(self, sigma: float):
+        return _linear_pieces_kernel(sigma, self.breakpoints, self.values,
+                                     [0.0] * len(self.values), self._mean)
 
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         return EssentialBounds(min(self.values) - sigma, max(self.values))
@@ -347,12 +355,8 @@ class Sampled(PeriodicSignal):
     """Linear interpolation of >= 2 samples on the uniform grid j/n, j < n.
 
     The interpolant wraps around (the value at t = 1 is the value at t = 0).
-    Plain integrals are exact for the interpolant; exponentially weighted
-    integrals use composite Simpson quadrature and are approximate.
+    All integrals are exact for the interpolant.
     """
-
-    #: Simpson panels per grid segment for weighted integrals
-    _PANELS = 4
 
     def __init__(self, values, source_path: str | None = None):
         values = np.asarray(values, dtype=float)
@@ -361,11 +365,7 @@ class Sampled(PeriodicSignal):
         self.values = values
         self.source_path = source_path
         self._n = values.size
-        ext = np.append(values, values[0])
-        # exact node-to-node integrals of the interpolant
-        self._node_cum = np.concatenate(
-            [[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * self._n))]
-        )
+        self._mean = float(values.mean())  # the interpolant's mean on a periodic grid
 
     def __repr__(self):
         return f"Sampled(n={self._n}, source={self.source_path!r})"
@@ -390,53 +390,57 @@ class Sampled(PeriodicSignal):
         v1 = self.values[(j + 1) % self._n]
         return v0 + (v1 - v0) * th
 
-    def _cumulative(self, x: float) -> float:
-        # integral of the interpolant over [0, x]
-        k = math.floor(x)
-        tau = x - k
-        g = tau * self._n
-        j = min(int(g), self._n - 1)
-        th = g - j
-        v0 = self.values[j]
-        v1 = self.values[(j + 1) % self._n]
-        partial = (v0 * th + 0.5 * (v1 - v0) * th * th) / self._n
-        return k * self._node_cum[-1] + self._node_cum[j] + partial
-
-    def integral(self, a: float, b: float) -> float:
-        return self._cumulative(b) - self._cumulative(a)
-
-    def weighted_integral_scaled(self, sigma: float, t: float, delta: float) -> float:
-        if sigma == 0.0:
-            return self.integral(t, t + delta)
-        end = t + delta
-        seg = 1.0 / self._n
-        total = 0.0
-        cur = t
-        while cur < end:
-            tau = frac(cur)
-            j = min(int(tau * self._n), self._n - 1)
-            nxt = cur + ((j + 1) * seg - tau)
-            if nxt <= cur:
-                nxt = np.nextafter(cur, math.inf)
-            stop = min(nxt, end)
-            total += self._simpson_piece(sigma, t, cur, stop)
-            cur = stop
-        return total
-
-    def _simpson_piece(self, sigma: float, origin: float, a: float, b: float) -> float:
-        m = 2 * self._PANELS
-        xs = np.linspace(a, b, m + 1)
-        ys = (self.eval_array(xs) - sigma) * np.exp(sigma * (xs - origin))
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(np.dot(w, ys)) * (b - a) / (3.0 * m)
+    def _make_kernel(self, sigma: float):
+        n = self._n
+        slopes = (np.roll(self.values, -1) - self.values) * n
+        return _linear_pieces_kernel(sigma, [j / n for j in range(n)], self.values.tolist(),
+                                     slopes.tolist(), self._mean)
 
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         return EssentialBounds(float(self.values.min()) - sigma, float(self.values.max()))
 
     def is_continuous_at(self, t: float) -> bool:
         return True
+
+
+def _linear_pieces_kernel(sigma, starts, values, slopes, mean):
+    """Kernel of f = values[i] + slopes[i]*(tau - starts[i]) on [starts[i], starts[i+1]).
+
+    Q is tabulated at the piece starts and carried across a piece in closed
+    form: for sigma > 0, Q(start + th) = e Q(start) + (1 - e)(v - sigma)/sigma
+    + m (th - (1 - e)/sigma)/sigma with e = exp(-sigma*th).
+    """
+    if sigma > 0.0:
+        inv = 1.0 / sigma
+        levels = [(v - sigma) * inv for v in values]
+        rates = [m * inv for m in slopes]
+
+        def advance(q, i, th):
+            em = math.expm1(-sigma * th)  # e - 1, accurate for small sigma*th
+            return q + em * (q - levels[i]) + rates[i] * (th + em * inv)
+    else:
+        def advance(q, i, th):
+            return q + (values[i] - mean + 0.5 * slopes[i] * th) * th
+
+    widths = [b - a for a, b in zip(starts, list(starts[1:]) + [1.0])]
+
+    def table(q0):
+        qs = [q0]
+        for i, h in enumerate(widths):
+            qs.append(advance(qs[-1], i, h))
+        return qs
+
+    qs = table(0.0)
+    if sigma > 0.0:
+        # one period maps Q(0) to exp(-sigma) Q(0) + qs[-1]; Q is its fixed point
+        qs = table(qs[-1] / -math.expm1(-sigma))
+    def kern(x):
+        tau = x % 1.0
+        i = bisect_right(starts, tau) - 1
+        th = tau - starts[i]
+        return advance(qs[i], i, th), values[i] + slopes[i] * th
+
+    return kern
 
 
 def _fmt(x: float) -> str:

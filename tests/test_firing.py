@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from firingmap import (
+    EssentialBounds,
     IFSystem,
     IllPosedError,
     NotDifferentiableError,
@@ -43,6 +44,13 @@ def test_validate_rejects_zero_mean_pi():
 def test_validate_rejects_negative_pi_input():
     with pytest.raises(IllPosedError):
         validate(IFSystem(0.0, TrigPolynomial(0.5, [(1, 2.0, 0.0)])))
+
+
+def test_validate_rejects_high_harmonic_dip():
+    # harmonic 4096 aliases to a constant on a 4096-point grid; the true
+    # ess inf(f - sigma) is 2 - 1.5 - 1 = -0.5
+    with pytest.raises(IllPosedError):
+        validate(IFSystem(1.0, TrigPolynomial(2.0, [(4096, 1.5, 0.0)])))
 
 
 def test_translation_firing_time():
@@ -214,6 +222,29 @@ def test_pi_left_continuity_at_jump():
         assert firing_time(system, -h) == pytest.approx(0.5, abs=2 * h + 1e-12)
         assert firing_time(system, h) == pytest.approx(1.0 + h, abs=1e-12)
     assert firing_time(system, 0.0) == 0.5
+
+
+def test_optimistic_bounds_bracket_is_certified():
+    # 1/lower = 0.1 is far below the true interspike intervals (~0.7); the
+    # solver must widen the bracket instead of returning its edge
+    system = cosine_lif(0.25)
+    system._bounds = EssentialBounds(10.0, 3.0)
+    orbit = iterate(system, 0.0, 20)
+    starts = np.concatenate([[0.0], orbit.times[:-1]])
+    sig, sigma = system.signal, system.sigma
+    for t, phi in zip(starts.tolist(), orbit.times.tolist()):
+        assert firing_time(system, t) == pytest.approx(phi, abs=1e-10)
+        assert abs(sig.weighted_integral_scaled(sigma, t, phi - t) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("t, expected", [(0.1, 0.625), (0.8, 1.625), (0.9, 1.625)])
+def test_sampled_pi_zero_run_leftmost_crossing(t, expected):
+    # the input's whole mass arrives by 5/8 and then stays zero up to 1 + 1/4,
+    # so every crossing on that plateau is its left end, a grid node
+    system = IFSystem(0.0, Sampled([0, 0, 0, 4, 4, 0, 0, 0]))
+    assert validate(system) is Regime.NONNEG_PI
+    assert firing_time(system, t) == pytest.approx(expected, abs=1e-12)
+    assert iterate(system, t, 3).times == pytest.approx(expected + np.arange(3), abs=1e-12)
 
 
 def test_sampled_system_runs():

@@ -19,7 +19,6 @@ from firingmap import (
     displacement_range,
     empirical_isi_dist,
     fortet_mourier,
-    isi_density_lif_empirical,
     isi_density_pi,
     isi_sequence,
     iterate,
@@ -241,15 +240,6 @@ def test_density_root_count_even_off_critical():
         roots = _psi_roots(psi, ts, psi_at, float(y))
         assert len(roots) % 2 == 0  # periodic continuous curve crosses evenly
         assert len(roots) >= 2
-
-
-def test_density_lif_empirical_smoke():
-    curve = isi_density_lif_empirical(
-        cosine_lif(0.25), n_orbit=20000, root_grid_size=512, n_y=64
-    )
-    finite = np.isfinite(curve.density)
-    assert finite.sum() >= 60
-    assert curve.integral() == pytest.approx(1.0, abs=0.15)
 
 
 def test_perturbation_harness_identity():

@@ -1,0 +1,100 @@
+"""Property-based checks over random strict leaky drives of every kind.
+
+Each drive keeps ess inf(f - sigma) >= 0.2, so the firing map is the lift
+of a circle homeomorphism and every crossing is simple.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from firingmap import (
+    IFSystem,
+    PiecewiseConstant,
+    Sampled,
+    TrigPolynomial,
+    check_lift,
+    firing_time,
+    iterate,
+)
+
+MARGIN = 0.2
+sigmas = st.floats(0.25, 3.0)
+levels = st.floats(MARGIN, 3.0)
+
+
+@st.composite
+def trig_drives(draw, sigma):
+    ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    hs = [(k, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))) for k in ks]
+    a0 = sigma + MARGIN + sum(abs(c) + abs(s) for _, c, s in hs) + draw(st.floats(0.0, 1.0))
+    return TrigPolynomial(a0, hs)
+
+
+@st.composite
+def step_drives(draw, sigma):
+    inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+    breaks = [0.0] + sorted(inner)
+    return PiecewiseConstant(breaks, [sigma + draw(levels) for _ in breaks])
+
+
+@st.composite
+def sampled_drives(draw, sigma):
+    n = draw(st.integers(2, 40))
+    return Sampled([sigma + draw(levels) for _ in range(n)])
+
+
+@st.composite
+def lif_systems(draw):
+    sigma = draw(sigmas)
+    kind = draw(st.sampled_from([trig_drives, step_drives, sampled_drives]))
+    return IFSystem(sigma, draw(kind(sigma)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lif_systems(), st.floats(-3.0, 3.0))
+def test_iterate_steps_equal_cold_firing_times(system, t0):
+    orbit = iterate(system, t0, 40)
+    starts = np.concatenate([[t0], orbit.times[:-1]])
+    for t, phi in zip(starts.tolist(), orbit.times.tolist()):
+        assert firing_time(system, t) == pytest.approx(phi, abs=1e-10)
+        res = system.signal.weighted_integral_scaled(system.sigma, t, phi - t) - 1.0
+        assert abs(res) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(lif_systems())
+def test_lift_property(system):
+    assert check_lift(system, np.linspace(0.0, 1.0, 9)) < 1e-9
+
+
+def _mp_sampled_weighted(values, sigma, t, delta):
+    # integral of (f - sigma) exp(sigma (u - t)) over [t, t + delta], piece by piece
+    n = len(values)
+    nodes = [t] + [j / mpmath.mpf(n) for j in range(math.floor(t * n) + 1, math.ceil((t + delta) * n))]
+    nodes.append(mpmath.mpf(t) + mpmath.mpf(delta))
+
+    def f(u):
+        x = (u - mpmath.floor(u)) * n
+        j = int(mpmath.floor(x))
+        th = x - j
+        return values[j % n] + (values[(j + 1) % n] - values[j % n]) * th
+
+    total = mpmath.mpf(0)
+    for a, b in zip(nodes, nodes[1:]):
+        total += mpmath.quad(lambda u: (f(u) - sigma) * mpmath.exp(sigma * (u - t)), [a, b])
+    return total
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigmas, st.lists(levels, min_size=2, max_size=12), st.floats(-5.0, 5.0), st.floats(0.05, 3.0))
+def test_sampled_weighted_integral_exact(sigma, levels_, t, delta):
+    values = [sigma + v for v in levels_]
+    got = Sampled(values).weighted_integral_scaled(sigma, t, delta)
+    with mpmath.workdps(30):
+        ref = _mp_sampled_weighted(values, sigma, t, delta)
+    assert got == pytest.approx(float(ref), rel=1e-12)

@@ -27,6 +27,7 @@ from .firing import (
     derivative,
     displacement,
     firing_time,
+    firing_times,
     iterate,
     iterate_cumulative_pi,
     validate,
@@ -115,6 +116,7 @@ __all__ = [
     "empirical_isi_dist",
     "estimate_conjugacy",
     "firing_time",
+    "firing_times",
     "fortet_mourier",
     "isi_density_pi",
     "isi_sequence",

@@ -19,9 +19,11 @@ t.  Two regimes are supported:
 One solver, :func:`_newton_step`, finds every crossing: a warm-startable
 safeguarded Newton iteration on the signal's periodic antiderivative
 (:meth:`PeriodicSignal.kernel`), used by :func:`firing_time`,
-:func:`iterate` and :func:`iterate_cumulative_pi`.  The one exception is a
-piecewise-constant drive with sigma = 0, whose crossings are found exactly
-by a rational segment walk; a constant drive has a closed form.
+:func:`iterate` and :func:`iterate_cumulative_pi`.  Its lane-wise copy on
+numpy arrays, :func:`_newton_batch`, serves :func:`firing_times`, the map
+on a whole grid of start times.  The one exception is a piecewise-constant
+drive with sigma = 0, whose crossings are found exactly by a rational
+segment walk; a constant drive has a closed form.
 
 Firing times are absolute; nothing here reduces orbits mod 1.
 """
@@ -199,7 +201,10 @@ def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
             # the crossing may lie past the unverified end: the bound was optimistic
             doublings += 1
             if doublings > 80:
-                raise NoConvergenceError(f"could not bracket the firing time after t={t!r}")
+                raise NoConvergenceError(
+                    f"could not bracket the firing time after t={t!r}: "
+                    f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+                )
             hi = top = 2.0 * top
         elif hi - lo <= width_tol:
             d = 0.5 * (lo + hi)
@@ -208,6 +213,69 @@ def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
     raise NoConvergenceError(
         f"firing-time iteration did not converge after t={t!r}: "
         f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+    )
+
+
+def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
+    """:func:`_newton_step` lane by lane on arrays, for the threshold 1.
+
+    ``kern`` is the signal's :meth:`PeriodicSignal.kernel_array`, ``q0`` is
+    Q(ts) and ``d`` an optional warm start per lane.  Every lane takes the
+    scalar solver's steps, with the same acceptance tests, bracket doubling
+    and iteration budget, and drops out once it converges.  Returns the
+    displacements.
+    """
+    n = ts.size
+    out, lane, t = np.empty(n), np.arange(n), ts
+    d = np.full(n, 0.5 * hi) if d is None else np.where((0.0 < d) & (d < hi), d, 0.5 * hi)
+    # t + d is representable only to ulp(t); don't demand finer than that
+    width_tol = np.maximum(max(1e-15, 1e-15 * hi), 8e-16 * np.abs(t))
+    lo, hi = np.zeros(n), np.full(n, hi)
+    top, doublings = hi, np.zeros(n, dtype=int)  # g(top) >= 0 is unverified
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            q1, fx = kern(t + d)
+            if sigma > 0.0:
+                e = np.exp(sigma * d)
+                g = e * q1 - q0 - 1.0
+                dg = (fx - sigma) * e
+                r = np.where(dg > 0.0, sigma * g / dg, 1.0)
+                cand = np.where(r < 1.0, d + np.log1p(-r) / sigma, -1.0)
+            else:
+                g = mean * d + q1 - q0 - 1.0
+                dg = fx
+                cand = np.where(dg > 0.0, d - g / dg, -1.0)
+            done = (np.abs(g) <= _RESIDUAL_TOL * dg) & (np.abs(g) <= _RESIDUAL_TOL)
+            above = g > 0.0
+            hi = np.where(above, d, hi)
+            lo = np.where(above, lo, d)
+            narrow = hi - lo <= width_tol
+            grow = (hi == top) & ((cand >= hi) | narrow) & ~done
+            if grow.any():
+                doublings = doublings + grow
+                if doublings.max() > 80:
+                    k = int(np.argmax(doublings > 80))
+                    raise NoConvergenceError(
+                        f"could not bracket the firing time after t={float(t[k])!r}: "
+                        f"bracket [{float(lo[k])!r}, {float(hi[k])!r}], residual {g[k]:.3e}"
+                    )
+                top = np.where(grow, 2.0 * top, top)
+                hi = np.where(grow, top, hi)
+                narrow &= ~grow
+            narrow &= ~done
+            mid = 0.5 * (lo + hi)
+            out[lane[done]] = d[done]
+            out[lane[narrow]] = mid[narrow]
+            d = np.where((lo < cand) & (cand < hi), cand, mid)
+            keep = ~(done | narrow)
+            if not keep.all():
+                lane, t, q0, d, lo, hi, top, doublings, width_tol, g = (
+                    a[keep] for a in (lane, t, q0, d, lo, hi, top, doublings, width_tol, g))
+            if not lane.size:
+                return out
+    raise NoConvergenceError(
+        f"firing-time iteration did not converge after t={float(t[0])!r}: "
+        f"bracket [{float(lo[0])!r}, {float(hi[0])!r}], residual {g[0]:.3e}"
     )
 
 
@@ -292,12 +360,44 @@ def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, threshold: Fraction) -> F
             return x + need / v
         need -= cap
         x = seg_end
-    raise NoConvergenceError("piecewise-constant crossing walk did not terminate")
+    raise NoConvergenceError(
+        f"piecewise-constant crossing walk did not terminate after t={t!r}: "
+        f"bracket [{t!r}, {float(x)!r}], residual {float(-need):.3e}"
+    )
 
 
 def firing_time(system: IFSystem, t: float) -> float:
     """Next firing time Phi(t) after a reset at time t."""
     return float(_crossings(system, t, 1)[0])
+
+
+def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
+    """Phi at every entry of the flat array ts, from optional warm starts d."""
+    system.regime  # validates
+    sig, sigma = system.signal, system.sigma
+    c = _constant_displacement(system)
+    if c is not None:
+        return ts + c
+    if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
+        one = Fraction(1)
+        return np.array([float(_pi_pwc_crossing(sig, t, one)) for t in ts.tolist()])
+    kern, mean = sig.kernel_array(sigma), sig.mean()
+    q0 = kern(ts)[0]
+    x = ts + _newton_batch(kern, sigma, mean, ts, q0, _max_displacement(system), d)
+    if isinstance(sig, Sampled) and sigma == 0.0:
+        skern = sig.kernel(0.0)
+        for i, (t, q, xi) in enumerate(zip(ts.tolist(), q0.tolist(), x.tolist())):
+            x[i] = _zero_run_start(sig, xi, lambda u: mean * (u - t) + skern(u)[0] - q - 1.0)
+    return x
+
+
+def firing_times(system: IFSystem, ts) -> np.ndarray:
+    """Phi at every start time of ts, as one batched solve.
+
+    Lane by lane the same iteration and tolerances as :func:`firing_time`.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return _firing_batch(system, ts.ravel()).reshape(ts.shape)
 
 
 def displacement(system: IFSystem, t: float) -> float:
@@ -334,8 +434,12 @@ def derivative(system: IFSystem, t: float) -> float:
     to be bounded away from zero; raises :class:`NotDifferentiableError`
     otherwise.
     """
+    return _slope(system, t, firing_time(system, t))
+
+
+def _slope(system: IFSystem, t: float, phi: float) -> float:
+    """:func:`derivative` at t, given phi = Phi(t)."""
     regime = system.regime
-    phi = firing_time(system, t)
     sig = system.signal
     if not sig.is_continuous_at(t) or not sig.is_continuous_at(phi):
         raise NotDifferentiableError(f"input is discontinuous at t={t} or Phi(t)={phi}")

@@ -22,7 +22,16 @@ from .errors import (
     InsufficientDataError,
     RationalRotationError,
 )
-from .firing import IFSystem, Orbit, Regime, derivative, firing_time, iterate
+from .firing import (
+    IFSystem,
+    Orbit,
+    Regime,
+    _firing_batch,
+    _slope,
+    firing_time,
+    firing_times,
+    iterate,
+)
 from .rotation import detect_locking, pi_rotation
 from .signals import PeriodicSignal, TrigPolynomial
 
@@ -53,7 +62,9 @@ class Displacement:
         return firing_time(self.system, t) - t
 
     def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self(float(t)) for t in ts])
+        """Psi at every point of ts, as one batched solve."""
+        ts = np.asarray(ts, dtype=float)
+        return firing_times(self.system, ts) - ts
 
 
 def isi_sequence(orbit: Orbit) -> IsiSeq:
@@ -125,6 +136,8 @@ def classify_regularity(
         gap = int(np.max(np.diff(matches))) - 1
         if gap > worst:
             worst = gap
+            if worst > budget:  # already unclassified
+                break
     if ok and worst <= budget:
         return RegularityResult(
             "almost-strongly-recurrent", window=worst, eps=eps, burn_in=burn_in, length=n
@@ -312,34 +325,53 @@ class DensityCurve:
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def _psi_roots(psi_grid: np.ndarray, ts: np.ndarray, psi_at, y: float) -> list[float]:
-    """All solutions of Psi(t) = y on [0, 1) by sign-change bracketing."""
-    roots = []
-    vals = psi_grid - y
-    m = len(ts) - 1  # ts[-1] == 1.0 and psi_grid wraps
-    for i in range(m):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(ts[i]))
-            continue
-        if a * b >= 0.0:
-            continue
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        glo = a
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = psi_at(mid) - y
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        roots.append(0.5 * (lo + hi))
-    return roots
+def _cell_pairs(start: np.ndarray, end: np.ndarray):
+    """(cell, j) for every j in [start[cell], end[cell]), ordered by cell."""
+    counts = np.maximum(end - start, 0)
+    cells = np.repeat(np.arange(counts.size), counts)
+    return cells, np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(cells.size)
+
+
+def _psi_roots(system: IFSystem, ts: np.ndarray, psi_grid: np.ndarray, ys: np.ndarray):
+    """All solutions of Psi(t) = y on [0, 1), for every y of ys at once.
+
+    ``psi_grid`` is Psi on the grid ``ts``, whose last point 1.0 wraps to
+    0.  A grid cell holds a root where its left end equals y, or where its
+    ends straddle y; a binary search over the sorted ys finds them per cell,
+    so memory stays O(grid + roots).  All straddling cells are bisected
+    together, each step one batched solve warm-started at Phi(t) - t = y.
+    Returns ``(j, t)``, the index into ys of each root t, ordered by j and
+    then by cell.
+    """
+    order = np.argsort(ys, kind="stable")
+    ys_sorted = ys[order]
+    left, right = psi_grid[:-1], psi_grid[1:]
+    hit_cell, hit_j = _cell_pairs(np.searchsorted(ys_sorted, left, side="left"),
+                                  np.searchsorted(ys_sorted, left, side="right"))
+    cell, j = _cell_pairs(np.searchsorted(ys_sorted, np.minimum(left, right), side="right"),
+                          np.searchsorted(ys_sorted, np.maximum(left, right), side="left"))
+    y = ys_sorted[j]
+    lo, hi, glo = ts[cell], ts[cell + 1], left[cell] - y
+    roots = np.empty(cell.size)
+    lane = np.arange(cell.size)
+    for _ in range(80):
+        if not lane.size:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = _firing_batch(system, mid, y) - mid - y
+        same = (gm > 0.0) == (glo > 0.0)
+        lo, glo, hi = np.where(same, mid, lo), np.where(same, gm, glo), np.where(same, hi, mid)
+        zero = gm == 0.0
+        lo, hi = np.where(zero, mid, lo), np.where(zero, mid, hi)
+        stop = zero | (hi - lo < 1e-14)
+        roots[lane[stop]] = 0.5 * (lo[stop] + hi[stop])
+        keep = ~stop
+        lane, lo, hi, glo, y = lane[keep], lo[keep], hi[keep], glo[keep], y[keep]
+    roots[lane] = 0.5 * (lo + hi)
+    cells = np.concatenate([hit_cell, cell])
+    js = np.concatenate([hit_j, j])
+    by = np.lexsort((cells, js))
+    return order[js[by]], np.concatenate([ts[hit_cell], roots])[by]
 
 
 def isi_density_pi(
@@ -404,24 +436,24 @@ def isi_density_pi(
         y_grid = (lo + pad) + 0.5 * (width - 2 * pad) * (1.0 - np.cos(theta))
     ys = np.asarray(y_grid, dtype=float)
 
+    inside = (ys >= lo) & (ys <= hi)
+    k = np.clip(np.searchsorted(crit_vals, ys), 1, crit_vals.size - 1)
+    near = np.minimum(np.abs(crit_vals[k - 1] - ys), np.abs(crit_vals[k] - ys)) < 1e-6
+    singular = inside & near
+
+    ys_in = ys[inside]
+    j, t = _psi_roots(system, ts, psi_grid, ys_in)
+    y = ys_in[j]
+    ft = signal.eval_array(t)
+    fphi = signal.eval_array(t + y)
+    dif = np.abs(ft - fphi)
+    if not dif.all():
+        raise CriticalValueError(
+            f"y = {float(y[np.argmin(dif)])!r} is a critical value of the displacement"
+        )
     density = np.zeros_like(ys)
-    singular = np.zeros(ys.shape, dtype=bool)
-    for j, y in enumerate(ys):
-        if y < lo or y > hi:
-            continue
-        if np.any(np.abs(crit_vals - y) < 1e-6):
-            singular[j] = True
-        total = 0.0
-        for t in _psi_roots(psi_grid, ts, psi_at, float(y)):
-            ft = signal.eval(t)
-            fphi = signal.eval(t + y)
-            dif = abs(ft - fphi)
-            if dif == 0.0:
-                raise CriticalValueError(
-                    f"y = {y!r} is a critical value of the displacement"
-                )
-            total += (ft / mean) * fphi / dif
-        density[j] = total
+    # bincount adds each y's terms in cell order, as a running sum would
+    density[inside] = np.bincount(j, weights=(ft / mean) * fphi / dif, minlength=ys_in.size)
     return DensityCurve(ys, density, singular, (lo, hi))
 
 
@@ -453,12 +485,13 @@ def perturbation_harness(
         raise ValueError("base system must be in the strict regime")
     perturbed.regime  # validate
     ts = np.linspace(0.0, 1.0, grid_size)
-    sup_phi = 0.0
-    sup_dphi = 0.0
-    for t in ts:
-        t = float(t)
-        sup_phi = max(sup_phi, abs(firing_time(base, t) - firing_time(perturbed, t)))
-        sup_dphi = max(sup_dphi, abs(derivative(base, t) - derivative(perturbed, t)))
+    phi, phi_p = firing_times(base, ts), firing_times(perturbed, ts)
+    sup_phi = float(np.max(np.abs(phi - phi_p), initial=0.0))
+    sup_dphi = max(
+        (abs(_slope(base, t, a) - _slope(perturbed, t, b))
+         for t, a, b in zip(ts.tolist(), phi.tolist(), phi_p.tolist())),
+        default=0.0,
+    )
     d1 = empirical_isi_dist(isi_sequence(iterate(base, t0, orbit_len)))
     d2 = empirical_isi_dist(isi_sequence(iterate(perturbed, t0, orbit_len)))
     return PerturbationReport(sup_phi, sup_dphi, fortet_mourier(d1, d2))

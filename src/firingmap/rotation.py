@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FiringMapError, IllPosedError, LockedError
-from .firing import IFSystem, firing_time, iterate
+from .firing import IFSystem, firing_time, firing_times, iterate
 from .signals import PeriodicSignal
 
 
@@ -159,7 +159,10 @@ def detect_locking(
             rho_estimate = rotation_number(system, 0.0, n)
     p, q = best_rational(rho_estimate.value, q_max)
     ts = np.linspace(0.0, 1.0, grid_size, endpoint=False)
-    vals = np.array([_phi_power(system, float(t), q) - float(t) - p for t in ts])
+    phi_q = ts
+    for _ in range(q):  # the whole grid as one batched solve per power
+        phi_q = firing_times(system, phi_q)
+    vals = phi_q - ts - p
     i_min = int(np.argmin(np.abs(vals)))
     residual = abs(float(vals[i_min]))
     if residual < residual_tol:

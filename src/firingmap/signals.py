@@ -71,8 +71,15 @@ class PeriodicSignal(ABC):
         """Vectorized :meth:`eval`."""
 
     @abstractmethod
-    def _make_kernel(self, sigma: float):
-        """Build the closure that :meth:`kernel` returns."""
+    def _make_kernel(self, sigma: float, array: bool):
+        """Build the closure that :meth:`kernel` (or :meth:`kernel_array`) returns."""
+
+    def _memo_kernel(self, slot: str, sigma: float, array: bool):
+        kernels = self.__dict__.setdefault(slot, {})
+        kern = kernels.get(sigma)
+        if kern is None:
+            kern = kernels[sigma] = self._make_kernel(sigma, array)
+        return kern
 
     def kernel(self, sigma: float):
         """Fused closure x -> (Q(x mod 1), f(x)), built once per sigma.
@@ -81,11 +88,15 @@ class PeriodicSignal(ABC):
         d/du [exp(sigma*u) Q(u mod 1)] = [f(u) - sigma] exp(sigma*u); for
         sigma = 0, d/du [mean*u + Q(u mod 1)] = f(u).
         """
-        kernels = self.__dict__.setdefault("_kernels", {})
-        kern = kernels.get(sigma)
-        if kern is None:
-            kern = kernels[sigma] = self._make_kernel(sigma)
-        return kern
+        return self._memo_kernel("_kernels", sigma, False)
+
+    def kernel_array(self, sigma: float):
+        """:meth:`kernel` on float arrays, xs -> (Q(xs mod 1), f(xs)).
+
+        Built once per sigma, on first use, from the same coefficients and
+        prefix table as the scalar kernel, in the same order of operations.
+        """
+        return self._memo_kernel("_kernel_arrays", sigma, True)
 
     def integral(self, a: float, b: float) -> float:
         """Plain integral of f over [a, b] (a <= b)."""
@@ -177,7 +188,7 @@ class TrigPolynomial(PeriodicSignal):
             out += -c * w * math.sin(th) + s * w * math.cos(th)
         return out
 
-    def _make_kernel(self, sigma: float):
+    def _make_kernel(self, sigma: float, array: bool):
         # per harmonic: w, the cos/sin coefficients of Q, the cos/sin coefficients of f
         a0 = self.a0
         hs = []
@@ -186,6 +197,18 @@ class TrigPolynomial(PeriodicSignal):
             den = sigma * sigma + w * w
             hs.append((w, (c * sigma - s * w) / den, (c * w + s * sigma) / den, c, s))
         q_const = (a0 - sigma) / sigma if sigma > 0.0 else 0.0
+        if array:
+            def kern_array(xs):
+                tau = xs % 1.0
+                q, fx = np.full(tau.shape, q_const), np.full(tau.shape, a0)
+                for w, qc, qs, c, s in hs:
+                    th = w * tau
+                    ct, st = np.cos(th), np.sin(th)
+                    q += qc * ct + qs * st
+                    fx += c * ct + s * st
+                return q, fx
+
+            return kern_array
         cos, sin = math.cos, math.sin
 
         def kern(x):
@@ -330,9 +353,9 @@ class PiecewiseConstant(PeriodicSignal):
     def integral(self, a: float, b: float) -> float:
         return float(self.integral_exact(Fraction(a), Fraction(b)))
 
-    def _make_kernel(self, sigma: float):
+    def _make_kernel(self, sigma: float, array: bool):
         return _linear_pieces_kernel(sigma, self.breakpoints, self.values,
-                                     [0.0] * len(self.values), self._mean)
+                                     [0.0] * len(self.values), self._mean, array)
 
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         return EssentialBounds(min(self.values) - sigma, max(self.values))
@@ -390,11 +413,11 @@ class Sampled(PeriodicSignal):
         v1 = self.values[(j + 1) % self._n]
         return v0 + (v1 - v0) * th
 
-    def _make_kernel(self, sigma: float):
+    def _make_kernel(self, sigma: float, array: bool):
         n = self._n
         slopes = (np.roll(self.values, -1) - self.values) * n
         return _linear_pieces_kernel(sigma, [j / n for j in range(n)], self.values.tolist(),
-                                     slopes.tolist(), self._mean)
+                                     slopes.tolist(), self._mean, array)
 
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         return EssentialBounds(float(self.values.min()) - sigma, float(self.values.max()))
@@ -403,25 +426,36 @@ class Sampled(PeriodicSignal):
         return True
 
 
-def _linear_pieces_kernel(sigma, starts, values, slopes, mean):
-    """Kernel of f = values[i] + slopes[i]*(tau - starts[i]) on [starts[i], starts[i+1]).
+def _piece_advance(sigma, mean, values, slopes, expm1=math.expm1, table=list):
+    """advance(q, i, th): Q carried th into piece i from the value q at its start.
 
-    Q is tabulated at the piece starts and carried across a piece in closed
-    form: for sigma > 0, Q(start + th) = e Q(start) + (1 - e)(v - sigma)/sigma
-    + m (th - (1 - e)/sigma)/sigma with e = exp(-sigma*th).
+    For sigma > 0, Q(start + th) = e Q(start) + (1 - e)(v - sigma)/sigma
+    + m (th - (1 - e)/sigma)/sigma with e = exp(-sigma*th).  With numpy's
+    ``expm1`` and ``table`` it takes index and offset arrays.
     """
     if sigma > 0.0:
         inv = 1.0 / sigma
-        levels = [(v - sigma) * inv for v in values]
-        rates = [m * inv for m in slopes]
+        levels = table([(v - sigma) * inv for v in values])
+        rates = table([m * inv for m in slopes])
 
         def advance(q, i, th):
-            em = math.expm1(-sigma * th)  # e - 1, accurate for small sigma*th
+            em = expm1(-sigma * th)  # e - 1, accurate for small sigma*th
             return q + em * (q - levels[i]) + rates[i] * (th + em * inv)
     else:
+        values, slopes = table(values), table(slopes)
+
         def advance(q, i, th):
             return q + (values[i] - mean + 0.5 * slopes[i] * th) * th
+    return advance
 
+
+def _linear_pieces_kernel(sigma, starts, values, slopes, mean, array):
+    """Kernel of f = values[i] + slopes[i]*(tau - starts[i]) on [starts[i], starts[i+1]).
+
+    Q is tabulated at the piece starts and carried across a piece in closed
+    form by :func:`_piece_advance`.
+    """
+    advance = _piece_advance(sigma, mean, values, slopes)
     widths = [b - a for a, b in zip(starts, list(starts[1:]) + [1.0])]
 
     def table(q0):
@@ -434,6 +468,19 @@ def _linear_pieces_kernel(sigma, starts, values, slopes, mean):
     if sigma > 0.0:
         # one period maps Q(0) to exp(-sigma) Q(0) + qs[-1]; Q is its fixed point
         qs = table(qs[-1] / -math.expm1(-sigma))
+    if array:
+        advance = _piece_advance(sigma, mean, values, slopes, np.expm1, np.array)
+        starts, qs, values, slopes = (np.array(a, dtype=float)
+                                      for a in (starts, qs, values, slopes))
+
+        def kern_array(xs):
+            tau = xs % 1.0
+            i = np.searchsorted(starts, tau, side="right") - 1
+            th = tau - starts[i]
+            return advance(qs[i], i, th), values[i] + slopes[i] * th
+
+        return kern_array
+
     def kern(x):
         tau = x % 1.0
         i = bisect_right(starts, tau) - 1

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,14 +9,18 @@ from firingmap import (
     EssentialBounds,
     IFSystem,
     IllPosedError,
+    NoConvergenceError,
     NotDifferentiableError,
+    PiecewiseConstant,
     Regime,
     Sampled,
     TrigPolynomial,
     check_lift,
     constant,
     derivative,
+    firing,
     firing_time,
+    firing_times,
     iterate,
     iterate_cumulative_pi,
     validate,
@@ -318,3 +324,36 @@ def test_warm_orbit_with_sine_harmonics():
             sigma, float(orbit.times[-2]), float(orbit.times[-1] - orbit.times[-2])
         )
         assert res == pytest.approx(1.0, abs=1e-10)
+
+
+def _never_fires():
+    # the drive is negative throughout, so the threshold is never reached;
+    # forced optimistic bounds let the system through validation
+    system = IFSystem(0.0, TrigPolynomial(-1.0, [(1, 0.5, 0.0)]))
+    system._bounds = EssentialBounds(10.0, 3.0)
+    return system
+
+
+@pytest.mark.parametrize("solve", [
+    firing_time,
+    lambda system, t: firing_times(system, [t, t + 0.5]),
+], ids=["scalar", "batched"])
+@pytest.mark.parametrize("max_iter, failure", [
+    (200, "did not converge"),  # the iteration budget runs out first
+    (20_000, "could not bracket"),  # the bracket doubles 80 times first
+])
+def test_no_convergence_names_t_bracket_and_residual(monkeypatch, solve, max_iter, failure):
+    monkeypatch.setattr(firing, "_MAX_ITER", max_iter)
+    with pytest.raises(NoConvergenceError, match=failure) as err:
+        solve(_never_fires(), 0.25)
+    number = r"[-+.e\d]+"
+    assert re.search(rf"after t=0\.25: bracket \[{number}, {number}\], residual {number}",
+                     str(err.value))
+
+
+def test_pwc_walk_no_convergence_names_t_bracket_and_residual():
+    sig = PiecewiseConstant([0.0], [0.1])
+    sig._fcum = [Fraction(0), Fraction(100)]  # overstated mass: the walk stops at t = 5
+    with pytest.raises(NoConvergenceError) as err:
+        firing_time(IFSystem(0.0, sig), 0.25)
+    assert "after t=0.25: bracket [0.25, 5.0], residual -5.250e-01" in str(err.value)

@@ -78,6 +78,19 @@ def test_classify_recurrent_irrational():
     assert res.window is not None and res.window < 1250
 
 
+def test_classify_stops_once_window_exceeds_budget(monkeypatch):
+    # the first value after burn-in recurs only at the very end, 398 steps on,
+    # past the budget of (410 - 10) // 4 = 100: one window decides the answer
+    v = np.tile([0.0, 1.0], 205)
+    v[10] = v[-1] = 5.0
+    windows = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: windows.append(1) or flatnonzero(a))
+    res = classify_regularity(IsiSeq(v), q=1, eps=1e-9, burn_in=10)
+    assert res.kind == "unclassified" and res.window is None
+    assert len(windows) == 1
+
+
 def test_classify_insufficient_data():
     with pytest.raises(InsufficientDataError):
         classify_regularity(IsiSeq(np.ones(100)), q=10, eps=1e-6, burn_in=1000)
@@ -232,14 +245,15 @@ def test_density_root_count_even_off_critical():
     psi = np.array([firing_time(system, float(t)) - float(t) for t in ts])
     lo, hi = float(psi.min()), float(psi.max())
 
-    def psi_at(t):
-        return firing_time(system, t) - t
-
     rng = np.random.default_rng(16)
-    for y in rng.uniform(lo + 1e-3, hi - 1e-3, 20):
-        roots = _psi_roots(psi, ts, psi_at, float(y))
-        assert len(roots) % 2 == 0  # periodic continuous curve crosses evenly
-        assert len(roots) >= 2
+    ys = rng.uniform(lo + 1e-3, hi - 1e-3, 20)
+    j, roots = _psi_roots(system, ts, psi, ys)
+    counts = np.bincount(j, minlength=ys.size)
+    assert np.all(counts % 2 == 0)  # periodic continuous curve crosses evenly
+    assert np.all(counts >= 2)
+    # every root solves Psi(t) = y
+    for jj, t in zip(j.tolist(), roots.tolist()):
+        assert firing_time(system, t) - t == pytest.approx(ys[jj], abs=1e-9)
 
 
 def test_perturbation_harness_identity():

@@ -1,7 +1,9 @@
-"""Property-based checks over random strict leaky drives of every kind.
+"""Property-based checks over random strict drives of every kind.
 
 Each drive keeps ess inf(f - sigma) >= 0.2, so the firing map is the lift
-of a circle homeomorphism and every crossing is simple.
+of a circle homeomorphism and every crossing is simple.  The leaky drives
+cover every signal kind; the batched map is also checked on perfect
+integrators (sigma = 0) with trigonometric drives.
 """
 
 import math
@@ -19,6 +21,7 @@ from firingmap import (
     TrigPolynomial,
     check_lift,
     firing_time,
+    firing_times,
     iterate,
 )
 
@@ -55,6 +58,10 @@ def lif_systems(draw):
     return IFSystem(sigma, draw(kind(sigma)))
 
 
+strict_systems = st.one_of(lif_systems(), trig_drives(0.0).map(lambda sig: IFSystem(0.0, sig)))
+grids = st.floats(-3.0, 3.0).map(lambda t0: t0 + np.linspace(0.0, 1.0, 257))
+
+
 @settings(max_examples=40, deadline=None)
 @given(lif_systems(), st.floats(-3.0, 3.0))
 def test_iterate_steps_equal_cold_firing_times(system, t0):
@@ -70,6 +77,26 @@ def test_iterate_steps_equal_cold_firing_times(system, t0):
 @given(lif_systems())
 def test_lift_property(system):
     assert check_lift(system, np.linspace(0.0, 1.0, 9)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_systems, grids)
+def test_firing_times_equal_scalar_firing_time(system, ts):
+    phi = firing_times(system, ts)
+    for t, p in zip(ts.tolist(), phi.tolist()):
+        assert firing_time(system, t) == pytest.approx(p, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_systems, grids)
+def test_firing_times_monotone(system, ts):
+    assert np.all(np.diff(firing_times(system, ts)) >= 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strict_systems, grids)
+def test_firing_times_lift(system, ts):
+    assert np.max(np.abs(firing_times(system, ts + 1.0) - firing_times(system, ts) - 1.0)) < 1e-9
 
 
 def _mp_sampled_weighted(values, sigma, t, delta):

@@ -33,7 +33,13 @@ from .isi import (
     isi_sequence,
     perturbation_harness,
 )
-from .rotation import detect_locking, pi_rotation, rotation_number, staircase_scan
+from .rotation import (
+    _certify,
+    _orbit_estimate,
+    detect_locking,
+    pi_rotation,
+    staircase_scan,
+)
 from .signals import parse_signal
 
 
@@ -246,16 +252,19 @@ def cmd_rotation(cfg: RunConfig) -> int:
     system = _system_from(cfg, cfg.signal, cfg.sigma)
     if system.is_pi:
         est = pi_rotation(system.signal)
+        locking = detect_locking(
+            system,
+            q_max=cfg.q_max,
+            grid_size=cfg.grid_size,
+            residual_tol=cfg.residual_tol,
+            rho_estimate=est,
+        )
     else:
         n = max(cfg.n, math.ceil(1.0 / cfg.rho_tol))
-        est = rotation_number(system, cfg.t0, n)
-    locking = detect_locking(
-        system,
-        q_max=cfg.q_max,
-        grid_size=cfg.grid_size,
-        residual_tol=cfg.residual_tol,
-        rho_estimate=est,
-    )
+        orbit = iterate(system, cfg.t0, n)
+        est = _orbit_estimate(orbit)
+        # the certificate reuses this orbit and runs no further spikes
+        locking = _certify(system, orbit, n, cfg.q_max, cfg.grid_size, cfg.residual_tol)
     payload = {
         "rho": _jnum(est.value),
         "error_bound": _jnum(est.error_bound),
@@ -263,6 +272,8 @@ def cmd_rotation(cfg: RunConfig) -> int:
         "p": locking.p,
         "q": locking.q,
         "residual": _jnum(locking.residual),
+        "status": locking.status,
+        "margin": _jnum(locking.margin),
     }
     _emit(cfg, json.dumps(payload, indent=2) + "\n")
     return 0

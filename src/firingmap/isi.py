@@ -20,6 +20,7 @@ from .errors import (
     CriticalValueError,
     IllPosedError,
     InsufficientDataError,
+    NotDifferentiableError,
     RationalRotationError,
 )
 from .firing import (
@@ -477,9 +478,11 @@ def perturbation_harness(
     stray from a base system's.
 
     Sup norms are taken over a grid on [0, 1], which suffices because the
-    displacement of both maps is 1-periodic; the distribution distance is
-    the Fortet-Mourier distance between the runs' empirical ISI
-    distributions.
+    displacement of both maps is 1-periodic.  ``sup_dphi_dev`` takes only
+    the grid points where both maps are differentiable, so a step drive,
+    whose map has no slope where an input jumps at t or Phi(t), skips those
+    points.  The distribution distance is the Fortet-Mourier distance
+    between the runs' empirical ISI distributions.
     """
     if base.regime is not Regime.STRICT_LIF:
         raise ValueError("base system must be in the strict regime")
@@ -487,11 +490,13 @@ def perturbation_harness(
     ts = np.linspace(0.0, 1.0, grid_size)
     phi, phi_p = firing_times(base, ts), firing_times(perturbed, ts)
     sup_phi = float(np.max(np.abs(phi - phi_p), initial=0.0))
-    sup_dphi = max(
-        (abs(_slope(base, t, a) - _slope(perturbed, t, b))
-         for t, a, b in zip(ts.tolist(), phi.tolist(), phi_p.tolist())),
-        default=0.0,
-    )
+    dphi = []
+    for t, a, b in zip(ts.tolist(), phi.tolist(), phi_p.tolist()):
+        try:
+            dphi.append(abs(_slope(base, t, a) - _slope(perturbed, t, b)))
+        except NotDifferentiableError:  # a jump of either input at t or Phi(t)
+            continue
+    sup_dphi = max(dphi, default=0.0)
     d1 = empirical_isi_dist(isi_sequence(iterate(base, t0, orbit_len)))
     d2 = empirical_isi_dist(isi_sequence(iterate(perturbed, t0, orbit_len)))
     return PerturbationReport(sup_phi, sup_dphi, fortet_mourier(d1, d2))

@@ -4,7 +4,9 @@ The firing map of a validated system lifts a circle homeomorphism, so
 ``(Phi^n(t) - t)/n`` converges to a rotation number independent of t, with
 the classical a-priori bound |estimate - rho| < 1/n.  For the perfect
 integrator the rotation number and the conjugacy to the rotation are
-available in closed form.
+available in closed form.  Phase locking is decided by certificates that
+the monotonicity of the lift draws from one short orbit
+(:func:`detect_locking`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import FiringMapError, IllPosedError, LockedError
-from .firing import IFSystem, firing_time, firing_times, iterate
+from .firing import (
+    _RESIDUAL_TOL,
+    IFSystem,
+    Orbit,
+    _max_displacement,
+    firing_time,
+    firing_times,
+    iterate,
+)
 from .signals import PeriodicSignal
 
 
@@ -40,16 +50,33 @@ class RotationEstimate:
 class LockingResult:
     """Outcome of a phase-locking test.
 
-    ``p``/``q`` is the best rational candidate (coprime, q <= q_max) for the
-    rotation number; ``locked`` is True only when a periodic-orbit witness
-    was found, i.e. Phi^q - Id - p has a (near-)zero.  ``residual`` is the
-    smallest |Phi^q(t) - t - p| seen.
+    ``p``/``q`` (coprime, q <= q_max) is the fraction the outcome is about.
+    ``status`` is one of
+
+    * ``locked``: a periodic-orbit witness, i.e. Phi^q - Id - p has a
+      (near-)zero; ``locked`` is True for this status only;
+    * ``unlocked``: rho is certified strictly between two Farey neighbours
+      a/b < rho < c/d with b + d > q_max, so no fraction with q <= q_max is
+      the rotation number; p/q is the one of them nearer the estimate;
+    * ``undecided``: neither could be shown within the work allowed.
+
+    ``residual`` is the smallest |Phi^q(t) - t - p| seen.  ``margin`` is,
+    for an ``unlocked`` result, the monotone lower bound on
+    |Phi^q - Id - p| from the computed values; it exceeds their error
+    allowance (see :func:`detect_locking`), so |Phi^q - Id - p| > 0
+    everywhere.  It is 0 for the other statuses.
     """
 
     locked: bool
     p: int
     q: int
     residual: float
+    status: str | None = None  # None: "locked" or "undecided", as ``locked`` says
+    margin: float = 0.0
+
+    def __post_init__(self):
+        if self.status is None:
+            object.__setattr__(self, "status", "locked" if self.locked else "undecided")
 
 
 def rotation_number(system: IFSystem, t0: float, n: int) -> RotationEstimate:
@@ -60,8 +87,13 @@ def rotation_number(system: IFSystem, t0: float, n: int) -> RotationEstimate:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    orbit = iterate(system, t0, n)
-    value = (float(orbit.times[-1]) - t0) / n
+    return _orbit_estimate(iterate(system, t0, n))
+
+
+def _orbit_estimate(orbit: Orbit) -> RotationEstimate:
+    """(t_n - t_0)/n of an n-spike orbit, with its bound 1/n."""
+    n = len(orbit)
+    value = (float(orbit.times[-1]) - orbit.t0) / n
     return RotationEstimate(value, 1.0 / n, n, Method.ITERATE_BOUND)
 
 
@@ -134,64 +166,215 @@ def _phi_power(system: IFSystem, t: float, q: int) -> float:
     return x
 
 
+_ORBIT_SPIKES = 1024  # length of the first certificate orbit
+_GRID_SIZE = 64  # grid of a mediant the orbit cannot place
+
+
+def _slack(q: int, t_max: float, dmax: float) -> float:
+    """Error allowance of Phi^q - Id - p computed by q solver steps within |t| <= t_max.
+
+    A step is accurate to the solver's residual 1e-13 (which bounds |g/g'|)
+    or to half its last bracket, at most 1e-15 dmax + 8e-16 |t|, and
+    rounding t + d adds ulp(t)/2; so 1e-13 + 1e-15 (dmax + t_max) per step,
+    added up over the q steps.  Forming the differences and the phase gaps
+    rounds by at most 1e-15 (t_max + 1) more.
+    """
+    return q * (_RESIDUAL_TOL + 1e-15 * (dmax + t_max)) + 1e-15 * (t_max + 1.0)
+
+
+def _monotone_bounds(s: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Bounds on G = Phi^q - Id - p from its values v at sorted phases s in [0, 1).
+
+    Phi^q is non-decreasing, so on the cell [s_i, s_{i+1}] (the last one
+    wraps to s_0 + 1, G being 1-periodic) G >= v_i - gap_i and
+    G <= v_{i+1} + gap_i.  Returns ``(above, below)``: G >= above
+    everywhere and G <= -below everywhere.
+    """
+    gap = np.diff(s, append=s[0] + 1.0)
+    return float(np.min(v - gap)), float(np.min(-np.roll(v, -1) - gap))
+
+
+def _grid_test(system: IFSystem, p: int, q: int, grid_size: int, residual_tol: float):
+    """Phi^q - Id - p on a uniform grid of [0, 1), as q batched solves.
+
+    Returns ``(side, margin, residual)``.  ``side`` is 0 at a sign change,
+    whose bracket is bisected for the smallest residual; +1 or -1 when the
+    grid's monotone bounds certify rho above or below p/q by ``margin``; 0
+    again when the smallest residual is below ``residual_tol``; else None.
+    """
+    ts = np.linspace(0.0, 1.0, grid_size, endpoint=False)
+    phi_q = ts
+    for _ in range(q):
+        phi_q = firing_times(system, phi_q)
+    vals = phi_q - ts - p
+    residual = float(np.min(np.abs(vals)))
+    flips = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
+    if flips.size:
+        lo = float(ts[flips[0]])
+        hi = lo + 1.0 / grid_size
+        glo = float(vals[flips[0]])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            gm = _phi_power(system, mid, q) - mid - p
+            residual = min(residual, abs(gm))
+            if residual <= 1e-3 * residual_tol:
+                break
+            if (gm > 0.0) == (glo > 0.0):
+                lo, glo = mid, gm
+            else:
+                hi = mid
+            if hi - lo < 1e-15:
+                break
+        return 0, 0.0, residual
+    above, below = _monotone_bounds(ts, vals)
+    dmax = _max_displacement(system)
+    slack = _slack(q, 1.0 + q * dmax, dmax)
+    if above > slack:
+        return 1, above, residual
+    if below > slack:
+        return -1, below, residual
+    return (0 if residual < residual_tol else None), 0.0, residual
+
+
+def _grid_result(side, margin, residual, p, q, residual_tol) -> LockingResult:
+    """The :class:`LockingResult` of a :func:`_grid_test` outcome at p/q."""
+    if side == 0 and residual < residual_tol:
+        return LockingResult(True, p, q, residual, "locked")
+    if side == 0 or side is None:  # a sign change without a zero is a jump of Phi^q
+        return LockingResult(False, p, q, residual, "undecided")
+    return LockingResult(False, p, q, residual, "unlocked", margin)
+
+
+def _weighted_mean(x: np.ndarray) -> float:
+    """Weighted Birkhoff average with weight exp(-1/(s(1-s))) on s in (0, 1).
+
+    For a smooth quasi-periodic sequence it converges faster than any power
+    of 1/n (Das, Sander, Saiki, Yorke et al., Nonlinearity 30, 2017).
+    """
+    s = np.arange(1, x.size + 1) / (x.size + 1.0)
+    w = np.exp(-1.0 / (s * (1.0 - s)))
+    return float(np.dot(w, x) / w.sum())
+
+
+def _certify(
+    system: IFSystem,
+    orbit: Orbit,
+    max_spikes: int,
+    q_max: int,
+    grid_size: int,
+    residual_tol: float,
+) -> LockingResult:
+    """Locking test from an orbit: its first 1024 spikes, doubled up to ``max_spikes``.
+
+    Walks the Stern-Brocot tree, from the integers next to the weighted
+    Birkhoff estimate of rho, down to Farey neighbours a/b < rho < c/d
+    with b + d > q_max.  Each mediant m/n is placed by the orbit's monotone
+    bounds (:func:`_monotone_bounds` on v_k = t_{k+n} - t_k - m at the
+    sorted phases), which must clear :func:`_slack`.  A mediant they leave
+    open gets :func:`_grid_test`: a zero witness ends the walk, certified
+    grid bounds continue it, and otherwise the orbit doubles, taking the
+    given orbit's further spikes before iterating new ones; at
+    ``max_spikes`` the result is ``undecided``.
+    """
+    later = orbit.times  # spikes 1, 2, ... available for doubling
+    dmax = _max_displacement(system)
+    lo = hi = None  # certified Farey neighbours (m, n, margin, residual) below and above rho
+    spikes = min(_ORBIT_SPIKES, len(orbit), max_spikes)
+    times = np.concatenate([[orbit.t0], later[:spikes]])
+    rho = _weighted_mean(np.diff(times))
+    m, n = math.floor(rho), 1
+    order, gridded = None, False
+    while True:
+        side = None
+        if n <= spikes:
+            if order is None:
+                phases = times - np.floor(times)
+                order = np.argsort(phases)
+            k = order[order <= spikes - n]
+            v = times[k + n] - times[k] - m
+            above, below = _monotone_bounds(phases[k], v)
+            slack = _slack(n, max(abs(times[0]), abs(times[-1])), dmax)
+            residual = float(np.min(np.abs(v)))
+            if above > slack:
+                side, margin = 1, above
+            elif below > slack:
+                side, margin = -1, below
+        if side is None and not gridded:
+            gridded = True
+            side, margin, residual = _grid_test(system, m, n, grid_size, residual_tol)
+            if side == 0:
+                return _grid_result(side, margin, residual, m, n, residual_tol)
+        if side is None:
+            if spikes >= max_spikes:
+                return LockingResult(False, m, n, residual, "undecided")
+            spikes = min(2 * spikes, max_spikes)
+            if spikes > later.size:
+                more = iterate(system, float(later[-1]), spikes - later.size)
+                later = np.concatenate([later, more.times])
+            times = np.concatenate([[orbit.t0], later[:spikes]])
+            rho, order = _weighted_mean(np.diff(times)), None
+            continue
+        if side > 0:
+            lo = (m, n, margin, residual)
+        else:
+            hi = (m, n, margin, residual)
+        if lo is None:
+            m, n = hi[0] - 1, 1
+        elif hi is None:
+            m, n = lo[0] + 1, 1
+        elif lo[1] + hi[1] <= q_max:
+            m, n = lo[0] + hi[0], lo[1] + hi[1]
+        else:
+            break
+        gridded = False
+    # the fraction with q <= q_max nearest the estimate is one of the two ends
+    p, q, margin, residual = lo if rho - lo[0] / lo[1] <= hi[0] / hi[1] - rho else hi
+    return LockingResult(False, p, q, residual, "unlocked", margin)
+
+
 def detect_locking(
     system: IFSystem,
     q_max: int = 64,
-    grid_size: int = 64,
+    grid_size: int = _GRID_SIZE,
     rho_tol: float = 1e-6,
     residual_tol: float = 1e-8,
     rho_estimate: RotationEstimate | None = None,
 ) -> LockingResult:
     """Test for q:p phase locking (a periodic orbit with Phi^q = Id + p).
 
-    The rotation number is estimated to within ``rho_tol`` (closed form for
-    the perfect integrator), the best rational p/q with q <= q_max is taken
-    from its continued fraction, and locking is declared only when
-    |Phi^q(t) - t - p| has a near-zero or a sign change on the grid: a
-    nearly rational estimate alone cannot distinguish locking from a nearby
-    irrational rotation number.
+    The firing map lifts an orientation-preserving circle homeomorphism, so
+    Phi^n is non-decreasing and its values at the sorted phases of one
+    orbit bound Phi^n - Id - m on every cell between them: wherever
+    ``min(v_i - gap_i)`` clears the error allowance, rho > m/n, and wherever
+    ``max(v_{i+1} + gap_i)`` stays below minus the allowance, rho < m/n.
+    The allowance is n times the solver's per-step tolerance plus the
+    rounding of ``t mod 1`` and of the differences (:func:`_slack`); it
+    assumes the steps' errors add up along the orbit without growing.
+
+    A 1024-spike orbit from t = 0 is walked down the Stern-Brocot tree with
+    these certificates until rho sits between Farey neighbours a/b < rho < c/d
+    with b + d > q_max (``unlocked``).  A mediant the orbit cannot place is
+    tested on a ``grid_size``-point grid of Phi^n: a sign change (bisected
+    for its residual) or a residual below ``residual_tol`` is a locking
+    witness, unless the grid's own monotone bounds certify a side, which
+    overrides the residual.  Failing both, the orbit doubles: ``rho_tol``
+    caps it at ``ceil(1/rho_tol)`` spikes, where the result is
+    ``undecided``.
+    A nearly rational estimate alone never counts as locking.
+
+    With ``rho_estimate``, and always for the perfect integrator (whose
+    rotation number has a closed form), only the best rational p/q with
+    q <= q_max of the estimate is tested, on the grid alone and without
+    orbits; a certified side there labels the result ``unlocked``.
     """
-    if rho_estimate is None:
-        if system.is_pi:
-            rho_estimate = pi_rotation(system.signal)
-        else:
-            n = max(1, math.ceil(1.0 / rho_tol))
-            rho_estimate = rotation_number(system, 0.0, n)
-    p, q = best_rational(rho_estimate.value, q_max)
-    ts = np.linspace(0.0, 1.0, grid_size, endpoint=False)
-    phi_q = ts
-    for _ in range(q):  # the whole grid as one batched solve per power
-        phi_q = firing_times(system, phi_q)
-    vals = phi_q - ts - p
-    i_min = int(np.argmin(np.abs(vals)))
-    residual = abs(float(vals[i_min]))
-    if residual < residual_tol:
-        return LockingResult(True, p, q, residual)
-    sign_flip = None
-    for i in range(grid_size):
-        a, b = vals[i], vals[(i + 1) % grid_size]
-        if a == 0.0 or a * b < 0.0:
-            sign_flip = i
-            break
-    if sign_flip is None:
-        return LockingResult(False, p, q, residual)
-    lo = float(ts[sign_flip])
-    hi = lo + 1.0 / grid_size
-    glo = float(vals[sign_flip])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = _phi_power(system, mid, q) - mid - p
-        if abs(gm) < residual:
-            residual = abs(gm)
-        if residual <= 1e-3 * residual_tol:
-            break
-        if (gm > 0.0) == (glo > 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return LockingResult(residual < residual_tol, p, q, residual)
+    if rho_estimate is None and system.is_pi:
+        rho_estimate = pi_rotation(system.signal)
+    if rho_estimate is not None:
+        p, q = best_rational(rho_estimate.value, q_max)
+        return _grid_result(*_grid_test(system, p, q, grid_size, residual_tol), p, q, residual_tol)
+    max_spikes = max(1, math.ceil(1.0 / rho_tol))
+    orbit = iterate(system, 0.0, min(_ORBIT_SPIKES, max_spikes))
+    return _certify(system, orbit, max_spikes, q_max, grid_size, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -222,16 +405,11 @@ def staircase_scan(
     for param in param_grid:
         try:
             system = family(float(param))
-            est = rotation_number(system, t0, n)
+            orbit = iterate(system, t0, n)
             locking = None
             if with_locking:
-                locking = detect_locking(
-                    system,
-                    q_max=q_max,
-                    residual_tol=residual_tol,
-                    rho_estimate=est,
-                )
-            out.append(ScanPoint(float(param), est, locking))
+                locking = _certify(system, orbit, n, q_max, _GRID_SIZE, residual_tol)
+            out.append(ScanPoint(float(param), _orbit_estimate(orbit), locking))
         except FiringMapError as exc:
             out.append(ScanPoint(float(param), None, None, error=str(exc)))
     return out

@@ -69,6 +69,7 @@ def test_rotation_locked_cosine(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["locked"] is True
+    assert payload["status"] == "locked"
     assert (payload["p"], payload["q"]) == (7, 10)
     assert payload["residual"] < 1e-8
     assert abs(payload["rho"] - 0.7) < 1e-4
@@ -82,6 +83,21 @@ def test_rotation_unlocked_constant(capsys):
     assert code == 0
     assert payload["locked"] is False
     assert abs(payload["rho"] - 0.6931) < 1e-3
+
+
+def test_rotation_json_status_and_margin(capsys):
+    code, out, _ = run_cli(
+        capsys, "rotation", "--sigma", "1", "--signal", "const:2", "--tol", "1e-4"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == [
+        "rho", "error_bound", "locked", "p", "q", "residual", "status", "margin"
+    ]
+    # the 1e4-spike orbit itself certifies log 2 between Farey neighbours
+    assert payload["error_bound"] == 1e-4
+    assert payload["status"] == "unlocked"
+    assert 0 < payload["margin"] <= payload["residual"]
 
 
 def test_scan_rows_and_error_column(capsys, tmp_path):
@@ -200,6 +216,19 @@ def test_compare_identity(capsys):
     assert set(payload) == {"sup_phi_dev", "sup_dphi_dev", "d_F_isi"}
     assert payload["sup_phi_dev"] == 0.0
     assert payload["d_F_isi"] == 0.0
+
+
+def test_compare_step_drives(capsys):
+    # a breakpoint moved by 0.01: the maps have no slope where an input jumps
+    code, out, _ = run_cli(
+        capsys, "compare", "--sigma", "1", "--signal", "pwc:0,3;0.5,1.6",
+        "--signal2", "pwc:0,3;0.51,1.6", "--n", "2000",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert 0 < payload["sup_phi_dev"] < 0.1
+    assert math.isfinite(payload["sup_dphi_dev"])
+    assert payload["d_F_isi"] > 0
 
 
 def test_config_file_and_override(capsys, tmp_path):

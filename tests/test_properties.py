@@ -20,6 +20,7 @@ from firingmap import (
     Sampled,
     TrigPolynomial,
     check_lift,
+    detect_locking,
     firing_time,
     firing_times,
     iterate,
@@ -97,6 +98,24 @@ def test_firing_times_monotone(system, ts):
 @given(strict_systems, grids)
 def test_firing_times_lift(system, ts):
     assert np.max(np.abs(firing_times(system, ts + 1.0) - firing_times(system, ts) - 1.0)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(sigmas.flatmap(lambda sigma: trig_drives(sigma).map(lambda sig: IFSystem(sigma, sig))))
+def test_locking_status_holds_on_independent_grid(system):
+    res = detect_locking(system, rho_tol=1e-4)
+    ts = np.arange(1024) / 1024
+    phi = ts
+    for _ in range(res.q):
+        phi = firing_times(system, phi)
+    g = phi - ts - res.p
+    flips = bool(np.any(g * np.roll(g, -1) <= 0.0))
+    if res.status == "unlocked":
+        assert not flips
+        # the grid's own values carry up to q solver steps of error
+        assert np.min(np.abs(g)) >= res.margin - res.q * 1e-12
+    elif res.status == "locked":
+        assert flips or res.residual < 1e-8
 
 
 def _mp_sampled_weighted(values, sigma, t, delta):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import firingmap.rotation as rotation
 from firingmap import (
     IFSystem,
     IllPosedError,
@@ -14,6 +15,8 @@ from firingmap import (
     detect_locking,
     estimate_conjugacy,
     firing_time,
+    firing_times,
+    iterate,
     pi_conjugacy,
     pi_rotation,
     rotation_number,
@@ -113,6 +116,7 @@ def test_not_locked_just_outside_tongue():
     # rotation number is about 0.69945 and no period-10 orbit exists
     res = detect_locking(cosine_lif(0.4), rho_tol=1e-5)
     assert not res.locked
+    assert res.status == "unlocked" and res.margin > 0
     est = rotation_number(cosine_lif(0.4), 0.0, 20000)
     assert abs(est.value - 0.7) > 4e-4  # bounded away from 7/10
 
@@ -133,6 +137,63 @@ def test_not_locked_log2():
     res = detect_locking(IFSystem(1.0, constant(2.0)), q_max=50, residual_tol=1e-6)
     assert not res.locked
     assert res.residual > 1e-3
+    assert res.status == "unlocked" and 0 < res.margin <= res.residual
+
+
+def _phi_q_minus_p(system, p, q, grid=1024):
+    ts = np.arange(grid) / grid
+    phi = ts
+    for _ in range(q):
+        phi = firing_times(system, phi)
+    return phi - ts - p
+
+
+@pytest.mark.parametrize("beta", [0.412, 0.444])
+def test_tongue_edges_never_locked_on_residual_alone(beta):
+    # at the edges of the 7/10 tongue Phi^10 - Id - 7 nearly touches zero
+    res = detect_locking(cosine_lif(beta), rho_tol=1e-4)
+    assert res.status in ("locked", "undecided")
+    if res.status == "locked":
+        g = _phi_q_minus_p(cosine_lif(beta), res.p, res.q)
+        assert np.any(g * np.roll(g, -1) <= 0.0)
+
+
+def _count_spikes(monkeypatch):
+    spikes = []
+
+    def counting(system, t0, n):
+        spikes.append(n)
+        return iterate(system, t0, n)
+
+    monkeypatch.setattr(rotation, "iterate", counting)
+    return spikes
+
+
+@pytest.mark.parametrize("rho_tol", [1e-2, 3e-4])
+def test_detect_locking_spikes_capped_by_rho_tol(monkeypatch, rho_tol):
+    # a grid that never decides leaves the 7/10 mediant of a locked system
+    # open, so the orbit doubles until the cap
+    monkeypatch.setattr(rotation, "_grid_test", lambda *a: (None, 0.0, 1.0))
+    spikes = _count_spikes(monkeypatch)
+    res = detect_locking(cosine_lif(BETA_LOCKED_7_10), rho_tol=rho_tol)
+    assert res.status == "undecided" and not res.locked
+    assert (res.p, res.q) == (7, 10)
+    assert sum(spikes) == math.ceil(1.0 / rho_tol)
+
+
+def test_detect_locking_certifies_from_a_short_orbit(monkeypatch):
+    spikes = _count_spikes(monkeypatch)
+    res = detect_locking(cosine_lif(0.25))
+    assert res.status == "unlocked"
+    assert sum(spikes) <= 4096
+
+
+def test_staircase_runs_one_orbit_per_param(monkeypatch):
+    spikes = _count_spikes(monkeypatch)
+    points = staircase_scan(cosine_lif, [0.25, BETA_LOCKED_7_10], n=3000)
+    assert spikes == [3000, 3000]
+    assert [pt.locking.status for pt in points] == ["unlocked", "locked"]
+    assert points[0].estimate == rotation_number(cosine_lif(0.25), 0.0, 3000)
 
 
 def test_estimates_consistent_across_n():

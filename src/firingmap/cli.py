@@ -33,13 +33,7 @@ from .isi import (
     isi_sequence,
     perturbation_harness,
 )
-from .rotation import (
-    _certify,
-    _orbit_estimate,
-    detect_locking,
-    pi_rotation,
-    staircase_scan,
-)
+from .rotation import detect_locking, pi_rotation, rotation_number, staircase_scan
 from .signals import parse_signal
 
 
@@ -73,7 +67,6 @@ class RunConfig:
     rho_tol: float = 1e-6
     residual_tol: float = 1e-8
     q_max: int = 64
-    grid_size: int = 64
 
 
 _RUN_KEYS = {
@@ -90,7 +83,6 @@ _TOL_KEYS = {
     "rho_tol": float,
     "residual_tol": float,
     "q_max": int,
-    "grid_size": int,
 }
 
 
@@ -252,19 +244,11 @@ def cmd_rotation(cfg: RunConfig) -> int:
     system = _system_from(cfg, cfg.signal, cfg.sigma)
     if system.is_pi:
         est = pi_rotation(system.signal)
-        locking = detect_locking(
-            system,
-            q_max=cfg.q_max,
-            grid_size=cfg.grid_size,
-            residual_tol=cfg.residual_tol,
-            rho_estimate=est,
-        )
     else:
-        n = max(cfg.n, math.ceil(1.0 / cfg.rho_tol))
-        orbit = iterate(system, cfg.t0, n)
-        est = _orbit_estimate(orbit)
-        # the certificate reuses this orbit and runs no further spikes
-        locking = _certify(system, orbit, n, cfg.q_max, cfg.grid_size, cfg.residual_tol)
+        est = rotation_number(system, cfg.t0, max(cfg.n, math.ceil(1.0 / cfg.rho_tol)))
+    locking = detect_locking(
+        system, q_max=cfg.q_max, rho_tol=cfg.rho_tol, residual_tol=cfg.residual_tol
+    )
     payload = {
         "rho": _jnum(est.value),
         "error_bound": _jnum(est.error_bound),

@@ -23,7 +23,7 @@ safeguarded Newton iteration on the signal's periodic antiderivative
 numpy arrays, :func:`_newton_batch`, serves :func:`firing_times`, the map
 on a whole grid of start times.  The one exception is a piecewise-constant
 drive with sigma = 0, whose crossings are found exactly by a rational
-segment walk; a constant drive has a closed form.
+segment walk.
 
 Firing times are absolute; nothing here reduces orbits mod 1.
 """
@@ -44,7 +44,6 @@ from .signals import (
     PeriodicSignal,
     PiecewiseConstant,
     Sampled,
-    TrigPolynomial,
 )
 
 _STRICT_TOL = 1e-9  # ess inf(f - sigma) must clear this to count as strict
@@ -151,14 +150,6 @@ def _max_displacement(system: IFSystem, threshold: float = 1.0) -> float:
     return threshold / system.signal.mean() + 2.0
 
 
-def _constant_displacement(system: IFSystem) -> float | None:
-    sig = system.signal
-    if isinstance(sig, TrigPolynomial) and not sig.harmonics:
-        c, s = sig.a0, system.sigma
-        return 1.0 / c if s == 0.0 else -math.log1p(-s / c) / s
-    return None
-
-
 def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
     """Displacement d > 0 of the first crossing after a reset at t.
 
@@ -166,16 +157,22 @@ def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
     (sigma > 0) or mean*d + Q(t+d) - Q(t) - threshold (sigma = 0), where
     ``(Q, f) = kern(x)`` and ``q0 = Q(t)``; g' is (f - sigma) exp(sigma*d) or
     f.  Safeguarded Newton from the warm start ``d`` inside a bracket
-    [lo, hi].  The upper end starts at the bound ``hi`` from the essential
-    bounds, which is trusted only until the iteration runs into it: then it
-    doubles, at most 80 times.  So every return has a residual within
-    tolerance or a bracket whose ends were both evaluated.  Returns
-    ``(d, Q(t + d))``.
+    [lo, hi]: a Newton step is taken only when it stays inside and is at
+    most half the step before the previous one, otherwise the bracket is
+    bisected (the ``rtsafe`` rule, which breaks Newton 2-cycles).  A step
+    within the resolution ``width_tol`` of t + d is always taken: it can
+    only be rounding noise, and bisecting a one-sided bracket for it would
+    cost some 40 iterations.  The upper end starts at the bound ``hi`` from
+    the essential bounds, which is trusted only until the iteration runs
+    into it: then it doubles, at most 80 times.  So every return has a
+    residual within tolerance or a bracket whose ends were both evaluated.
+    Returns ``(d, Q(t + d))``.
     """
     exp, log1p = math.exp, math.log1p
     lo, top, doublings = 0.0, hi, 0  # g(top) >= 0 is unverified
     if d is None or not lo < d < hi:
         d = 0.5 * hi
+    step = step_old = hi  # the previous step and the one before
     # t + d is representable only to ulp(t); don't demand finer than that
     width_tol = max(1e-15, 1e-15 * hi, 8e-16 * abs(t))
     for _ in range(_MAX_ITER):
@@ -194,9 +191,9 @@ def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
         if abs(g) <= _RESIDUAL_TOL * dg and abs(g) <= _RESIDUAL_TOL:  # |g| and |g/g'|
             return d, q1
         if g > 0.0:
-            hi = d
+            hi, dx = d, d - cand
         else:
-            lo = d
+            lo, dx = d, cand - d
         if hi == top and (cand >= hi or hi - lo <= width_tol):
             # the crossing may lie past the unverified end: the bound was optimistic
             doublings += 1
@@ -209,7 +206,10 @@ def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
         elif hi - lo <= width_tol:
             d = 0.5 * (lo + hi)
             return d, kern(t + d)[0]
-        d = cand if lo < cand < hi else 0.5 * (lo + hi)
+        if lo < cand < hi and (dx + dx <= step_old or dx <= width_tol):
+            step_old, step, d = step, dx, cand
+        else:
+            step_old, step, d = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
     raise NoConvergenceError(
         f"firing-time iteration did not converge after t={t!r}: "
         f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
@@ -221,9 +221,9 @@ def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
 
     ``kern`` is the signal's :meth:`PeriodicSignal.kernel_array`, ``q0`` is
     Q(ts) and ``d`` an optional warm start per lane.  Every lane takes the
-    scalar solver's steps, with the same acceptance tests, bracket doubling
-    and iteration budget, and drops out once it converges.  Returns the
-    displacements.
+    scalar solver's steps, with the same acceptance tests, step rule,
+    bracket doubling and iteration budget, and drops out once it converges.
+    Returns the displacements.
     """
     n = ts.size
     out, lane, t = np.empty(n), np.arange(n), ts
@@ -232,6 +232,7 @@ def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
     width_tol = np.maximum(max(1e-15, 1e-15 * hi), 8e-16 * np.abs(t))
     lo, hi = np.zeros(n), np.full(n, hi)
     top, doublings = hi, np.zeros(n, dtype=int)  # g(top) >= 0 is unverified
+    step = step_old = hi  # the previous step and the one before
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ITER):
             q1, fx = kern(t + d)
@@ -266,11 +267,15 @@ def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
             mid = 0.5 * (lo + hi)
             out[lane[done]] = d[done]
             out[lane[narrow]] = mid[narrow]
-            d = np.where((lo < cand) & (cand < hi), cand, mid)
+            dx = np.abs(cand - d)
+            newton = (lo < cand) & (cand < hi) & ((dx + dx <= step_old) | (dx <= width_tol))
+            step_old, step = step, np.where(newton, dx, 0.5 * (hi - lo))
+            d = np.where(newton, cand, mid)
             keep = ~(done | narrow)
             if not keep.all():
-                lane, t, q0, d, lo, hi, top, doublings, width_tol, g = (
-                    a[keep] for a in (lane, t, q0, d, lo, hi, top, doublings, width_tol, g))
+                lane, t, q0, d, lo, hi, top, doublings, width_tol, g, step, step_old = (
+                    a[keep] for a in
+                    (lane, t, q0, d, lo, hi, top, doublings, width_tol, g, step, step_old))
             if not lane.size:
                 return out
     raise NoConvergenceError(
@@ -307,9 +312,6 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
     of the thresholds 1..n by the input integrated from t0 (sigma = 0)."""
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
-    d = _constant_displacement(system)
-    if d is not None:
-        return t0 + d * np.arange(1, n + 1)
     times = np.empty(n)
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
         t = t0
@@ -375,9 +377,6 @@ def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
     """Phi at every entry of the flat array ts, from optional warm starts d."""
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
-    c = _constant_displacement(system)
-    if c is not None:
-        return ts + c
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
         one = Fraction(1)
         return np.array([float(_pi_pwc_crossing(sig, t, one)) for t in ts.tolist()])

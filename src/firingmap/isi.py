@@ -33,7 +33,7 @@ from .firing import (
     firing_times,
     iterate,
 )
-from .rotation import detect_locking, pi_rotation
+from .rotation import detect_locking
 from .signals import PeriodicSignal, TrigPolynomial
 
 
@@ -399,10 +399,7 @@ def isi_density_pi(
         raise ValueError("closed-form density needs a trigonometric-polynomial input")
     system = IFSystem(0.0, signal)
     system.regime  # validate
-    locking = detect_locking(
-        system, q_max=q_max, residual_tol=residual_tol,
-        rho_estimate=pi_rotation(signal),
-    )
+    locking = detect_locking(system, q_max=q_max, residual_tol=residual_tol)
     if locking.locked:
         raise RationalRotationError(
             f"rotation number is rational at tolerance: {locking.p}/{locking.q} "

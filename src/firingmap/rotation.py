@@ -120,43 +120,22 @@ def pi_conjugacy(signal: PeriodicSignal, t: float) -> float:
     return signal.integral(0.0, t) / m
 
 
-def _continued_fraction(x: float, q_max: int):
-    """Convergents p/q of x with q <= q_max, plus the last semiconvergent."""
-    a0 = math.floor(x)
-    h_prev, k_prev = 1, 0
-    h, k = a0, 1
-    cands = [(h, k)]
-    rem = x - a0
-    for _ in range(64):
-        if rem <= 1e-15:
-            break
-        rem = 1.0 / rem
-        a = math.floor(rem)
-        rem -= a
-        h_new, k_new = a * h + h_prev, a * k + k_prev
-        if k_new > q_max:
-            j = (q_max - k_prev) // k
-            if j >= 1:
-                cands.append((h_prev + j * h, k_prev + j * k))
-            break
-        cands.append((h_new, k_new))
-        h_prev, k_prev, h, k = h, k, h_new, k_new
-    return cands
-
-
 def best_rational(x: float, q_max: int) -> tuple[int, int]:
-    """Best rational approximation p/q of x with 1 <= q <= q_max, coprime."""
-    best = None
-    for p, q in _continued_fraction(x, q_max):
-        if q < 1 or q > q_max:
-            continue
-        err = abs(x - p / q)
-        if best is None or err < best[2]:
-            best = (p, q, err)
-    assert best is not None
-    p, q, _ = best
-    g = math.gcd(abs(p), q)
-    return (p // g, q // g) if g > 1 else (p, q)
+    """Best rational approximation p/q of x with 1 <= q <= q_max, coprime.
+
+    Walks the Stern-Brocot tree down to the Farey neighbours a/b <= x <= c/d
+    with b + d > q_max and returns the nearer one.
+    """
+    lo, hi = (math.floor(x), 1), (math.floor(x) + 1, 1)
+    while lo[1] + hi[1] <= q_max:
+        m, n = lo[0] + hi[0], lo[1] + hi[1]
+        if x == m / n:
+            return m, n
+        if x < m / n:
+            hi = (m, n)
+        else:
+            lo = (m, n)
+    return lo if x - lo[0] / lo[1] <= hi[0] / hi[1] - x else hi
 
 
 def _phi_power(system: IFSystem, t: float, q: int) -> float:
@@ -194,7 +173,7 @@ def _monotone_bounds(s: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return float(np.min(v - gap)), float(np.min(-np.roll(v, -1) - gap))
 
 
-def _grid_test(system: IFSystem, p: int, q: int, grid_size: int, residual_tol: float):
+def _grid_test(system: IFSystem, p: int, q: int, residual_tol: float):
     """Phi^q - Id - p on a uniform grid of [0, 1), as q batched solves.
 
     Returns ``(side, margin, residual)``.  ``side`` is 0 at a sign change,
@@ -202,7 +181,7 @@ def _grid_test(system: IFSystem, p: int, q: int, grid_size: int, residual_tol: f
     grid's monotone bounds certify rho above or below p/q by ``margin``; 0
     again when the smallest residual is below ``residual_tol``; else None.
     """
-    ts = np.linspace(0.0, 1.0, grid_size, endpoint=False)
+    ts = np.linspace(0.0, 1.0, _GRID_SIZE, endpoint=False)
     phi_q = ts
     for _ in range(q):
         phi_q = firing_times(system, phi_q)
@@ -211,7 +190,7 @@ def _grid_test(system: IFSystem, p: int, q: int, grid_size: int, residual_tol: f
     flips = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
     if flips.size:
         lo = float(ts[flips[0]])
-        hi = lo + 1.0 / grid_size
+        hi = lo + 1.0 / _GRID_SIZE
         glo = float(vals[flips[0]])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -236,15 +215,6 @@ def _grid_test(system: IFSystem, p: int, q: int, grid_size: int, residual_tol: f
     return (0 if residual < residual_tol else None), 0.0, residual
 
 
-def _grid_result(side, margin, residual, p, q, residual_tol) -> LockingResult:
-    """The :class:`LockingResult` of a :func:`_grid_test` outcome at p/q."""
-    if side == 0 and residual < residual_tol:
-        return LockingResult(True, p, q, residual, "locked")
-    if side == 0 or side is None:  # a sign change without a zero is a jump of Phi^q
-        return LockingResult(False, p, q, residual, "undecided")
-    return LockingResult(False, p, q, residual, "unlocked", margin)
-
-
 def _weighted_mean(x: np.ndarray) -> float:
     """Weighted Birkhoff average with weight exp(-1/(s(1-s))) on s in (0, 1).
 
@@ -261,7 +231,6 @@ def _certify(
     orbit: Orbit,
     max_spikes: int,
     q_max: int,
-    grid_size: int,
     residual_tol: float,
 ) -> LockingResult:
     """Locking test from an orbit: its first 1024 spikes, doubled up to ``max_spikes``.
@@ -273,8 +242,10 @@ def _certify(
     sorted phases), which must clear :func:`_slack`.  A mediant they leave
     open gets :func:`_grid_test`: a zero witness ends the walk, certified
     grid bounds continue it, and otherwise the orbit doubles, taking the
-    given orbit's further spikes before iterating new ones; at
-    ``max_spikes`` the result is ``undecided``.
+    given orbit's further spikes before iterating new ones.  The result is
+    ``undecided`` at ``max_spikes``, or once the orbit has settled: when two
+    of its phases lie within one step's error allowance, further spikes add
+    no phases the orbit has not already placed.
     """
     later = orbit.times  # spikes 1, 2, ... available for doubling
     dmax = _max_displacement(system)
@@ -285,15 +256,16 @@ def _certify(
     m, n = math.floor(rho), 1
     order, gridded = None, False
     while True:
+        if order is None:
+            phases = times - np.floor(times)
+            order = np.argsort(phases)
+            t_max = max(abs(times[0]), abs(times[-1]))
         side = None
         if n <= spikes:
-            if order is None:
-                phases = times - np.floor(times)
-                order = np.argsort(phases)
             k = order[order <= spikes - n]
             v = times[k + n] - times[k] - m
             above, below = _monotone_bounds(phases[k], v)
-            slack = _slack(n, max(abs(times[0]), abs(times[-1])), dmax)
+            slack = _slack(n, t_max, dmax)
             residual = float(np.min(np.abs(v)))
             if above > slack:
                 side, margin = 1, above
@@ -301,11 +273,13 @@ def _certify(
                 side, margin = -1, below
         if side is None and not gridded:
             gridded = True
-            side, margin, residual = _grid_test(system, m, n, grid_size, residual_tol)
-            if side == 0:
-                return _grid_result(side, margin, residual, m, n, residual_tol)
+            side, margin, residual = _grid_test(system, m, n, residual_tol)
+            if side == 0:  # a sign change without a zero is a jump of Phi^q: undecided
+                return LockingResult(residual < residual_tol, m, n, residual)
         if side is None:
-            if spikes >= max_spikes:
+            s = phases[order]
+            settled = np.min(np.diff(s, append=s[0] + 1.0)) <= _slack(1, t_max, dmax)
+            if spikes >= max_spikes or settled:
                 return LockingResult(False, m, n, residual, "undecided")
             spikes = min(2 * spikes, max_spikes)
             if spikes > later.size:
@@ -335,16 +309,15 @@ def _certify(
 def detect_locking(
     system: IFSystem,
     q_max: int = 64,
-    grid_size: int = _GRID_SIZE,
     rho_tol: float = 1e-6,
     residual_tol: float = 1e-8,
-    rho_estimate: RotationEstimate | None = None,
 ) -> LockingResult:
     """Test for q:p phase locking (a periodic orbit with Phi^q = Id + p).
 
-    The firing map lifts an orientation-preserving circle homeomorphism, so
-    Phi^n is non-decreasing and its values at the sorted phases of one
-    orbit bound Phi^n - Id - m on every cell between them: wherever
+    The firing map lifts an orientation-preserving circle homeomorphism (for
+    the nonnegative perfect integrator a non-decreasing lift, which may
+    jump), so Phi^n is non-decreasing and its values at the sorted phases
+    of one orbit bound Phi^n - Id - m on every cell between them: wherever
     ``min(v_i - gap_i)`` clears the error allowance, rho > m/n, and wherever
     ``max(v_{i+1} + gap_i)`` stays below minus the allowance, rho < m/n.
     The allowance is n times the solver's per-step tolerance plus the
@@ -354,27 +327,18 @@ def detect_locking(
     A 1024-spike orbit from t = 0 is walked down the Stern-Brocot tree with
     these certificates until rho sits between Farey neighbours a/b < rho < c/d
     with b + d > q_max (``unlocked``).  A mediant the orbit cannot place is
-    tested on a ``grid_size``-point grid of Phi^n: a sign change (bisected
-    for its residual) or a residual below ``residual_tol`` is a locking
-    witness, unless the grid's own monotone bounds certify a side, which
-    overrides the residual.  Failing both, the orbit doubles: ``rho_tol``
-    caps it at ``ceil(1/rho_tol)`` spikes, where the result is
-    ``undecided``.
+    tested on a 64-point grid of Phi^n: a sign change (bisected for its
+    residual) or a residual below ``residual_tol`` is a locking witness,
+    unless the grid's own monotone bounds certify a side, which overrides
+    the residual; a sign change without a small residual is a jump of
+    Phi^n, not a witness.  Failing both, the orbit doubles: ``rho_tol``
+    caps it at ``ceil(1/rho_tol)`` spikes, and an orbit whose phases
+    repeat stops at once; either way the result is ``undecided``.
     A nearly rational estimate alone never counts as locking.
-
-    With ``rho_estimate``, and always for the perfect integrator (whose
-    rotation number has a closed form), only the best rational p/q with
-    q <= q_max of the estimate is tested, on the grid alone and without
-    orbits; a certified side there labels the result ``unlocked``.
     """
-    if rho_estimate is None and system.is_pi:
-        rho_estimate = pi_rotation(system.signal)
-    if rho_estimate is not None:
-        p, q = best_rational(rho_estimate.value, q_max)
-        return _grid_result(*_grid_test(system, p, q, grid_size, residual_tol), p, q, residual_tol)
     max_spikes = max(1, math.ceil(1.0 / rho_tol))
     orbit = iterate(system, 0.0, min(_ORBIT_SPIKES, max_spikes))
-    return _certify(system, orbit, max_spikes, q_max, grid_size, residual_tol)
+    return _certify(system, orbit, max_spikes, q_max, residual_tol)
 
 
 @dataclass(frozen=True)
@@ -394,9 +358,8 @@ def staircase_scan(
     t0: float = 0.0,
     q_max: int = 64,
     residual_tol: float = 1e-8,
-    with_locking: bool = True,
 ) -> list[ScanPoint]:
-    """Rotation number (and optional locking test) across a parameter grid.
+    """Rotation number and locking test across a parameter grid.
 
     Each grid point is independent; failures are recorded per point and the
     scan continues.  Output order follows the input grid.
@@ -406,9 +369,7 @@ def staircase_scan(
         try:
             system = family(float(param))
             orbit = iterate(system, t0, n)
-            locking = None
-            if with_locking:
-                locking = _certify(system, orbit, n, q_max, _GRID_SIZE, residual_tol)
+            locking = _certify(system, orbit, n, q_max, residual_tol)
             out.append(ScanPoint(float(param), _orbit_estimate(orbit), locking))
         except FiringMapError as exc:
             out.append(ScanPoint(float(param), None, None, error=str(exc)))
@@ -420,23 +381,21 @@ def estimate_conjugacy(
     t0: float,
     n: int,
     grid: Sequence[float],
-    check_locking: bool = True,
 ) -> np.ndarray:
     """Empirical conjugacy lift from orbit phases.
 
     Gamma(t) is estimated as the fraction of the first n firing phases that
     fall in [0, t]; by unique ergodicity this converges uniformly to the
-    invariant-measure CDF when the rotation number is irrational.  With
-    ``check_locking`` a locked system raises :class:`LockedError`, since a
-    periodic orbit carries no information about the invariant measure.
+    invariant-measure CDF when the rotation number is irrational.  A locked
+    system raises :class:`LockedError`, since a periodic orbit carries no
+    information about the invariant measure.
     """
-    if check_locking:
-        res = detect_locking(system, rho_tol=1e-4)
-        if res.locked:
-            raise LockedError(
-                f"system appears locked at {res.p}/{res.q} "
-                f"(residual {res.residual:.3e}); empirical conjugacy is invalid"
-            )
+    res = detect_locking(system, rho_tol=1e-4)
+    if res.locked:
+        raise LockedError(
+            f"system appears locked at {res.p}/{res.q} "
+            f"(residual {res.residual:.3e}); empirical conjugacy is invalid"
+        )
     orbit = iterate(system, t0, n)
     phases = np.sort(orbit.phases)
     grid = np.asarray(grid, dtype=float)

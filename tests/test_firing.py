@@ -243,6 +243,18 @@ def test_optimistic_bounds_bracket_is_certified():
         assert abs(sig.weighted_integral_scaled(sigma, t, phi - t) - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+def test_newton_two_cycle_is_broken(batched):
+    # plain safeguarded Newton alternates between d = 0.236 and 0.467 after
+    # t = 0.6661 (and after 40 of these 100 neighbours), each candidate
+    # landing inside the bracket
+    system = IFSystem(1.0, TrigPolynomial(3.23125, [(1, 0.0625, 0.0), (4, 1.0, 0.5)]))
+    ts = (0.6661 + np.arange(-50, 51) * 2e-5).tolist()
+    phi = firing_times(system, ts).tolist() if batched else [firing_time(system, t) for t in ts]
+    for t, x in zip(ts, phi):
+        assert abs(system.signal.weighted_integral_scaled(1.0, t, x - t) - 1.0) < 1e-9
+
+
 @pytest.mark.parametrize("t, expected", [(0.1, 0.625), (0.8, 1.625), (0.9, 1.625)])
 def test_sampled_pi_zero_run_leftmost_crossing(t, expected):
     # the input's whole mass arrives by 5/8 and then stays zero up to 1 + 1/4,

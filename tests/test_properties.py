@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firingmap import (
@@ -102,6 +102,9 @@ def test_firing_times_lift(system, ts):
 
 @settings(max_examples=25, deadline=None)
 @given(sigmas.flatmap(lambda sigma: trig_drives(sigma).map(lambda sig: IFSystem(sigma, sig))))
+# drives on which plain safeguarded Newton falls into a 2-cycle
+@example(IFSystem(1.0, TrigPolynomial(3.23125, [(1, 0.0625, 0.0), (4, 1.0, 0.5)])))
+@example(IFSystem(2.0, TrigPolynomial(2.93828125, [(2, 0.046875, 0.0), (3, 0.31640625, 0.375)])))
 def test_locking_status_holds_on_independent_grid(system):
     res = detect_locking(system, rho_tol=1e-4)
     ts = np.arange(1024) / 1024

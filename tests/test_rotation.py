@@ -169,16 +169,51 @@ def _count_spikes(monkeypatch):
     return spikes
 
 
+def _never_decide(monkeypatch):
+    monkeypatch.setattr(rotation, "_grid_test", lambda *a: (None, 0.0, 1.0))
+
+
 @pytest.mark.parametrize("rho_tol", [1e-2, 3e-4])
 def test_detect_locking_spikes_capped_by_rho_tol(monkeypatch, rho_tol):
-    # a grid that never decides leaves the 7/10 mediant of a locked system
-    # open, so the orbit doubles until the cap
-    monkeypatch.setattr(rotation, "_grid_test", lambda *a: (None, 0.0, 1.0))
+    # with neither the orbit nor the grid deciding, the first mediant stays
+    # open; the quasi-periodic orbit never settles, so it doubles until the cap
+    _never_decide(monkeypatch)
+    monkeypatch.setattr(rotation, "_monotone_bounds", lambda s, v: (-1.0, -1.0))
     spikes = _count_spikes(monkeypatch)
-    res = detect_locking(cosine_lif(BETA_LOCKED_7_10), rho_tol=rho_tol)
+    res = detect_locking(cosine_lif(0.25), rho_tol=rho_tol)
+    assert res.status == "undecided" and not res.locked
+    assert res.q == 1
+    assert sum(spikes) == math.ceil(1.0 / rho_tol)
+
+
+def test_detect_locking_settled_orbit_stops_early(monkeypatch):
+    # a grid that never decides leaves the 7/10 mediant of a locked system
+    # open; its orbit has settled on the 10-cycle, so doubling adds nothing
+    _never_decide(monkeypatch)
+    spikes = _count_spikes(monkeypatch)
+    res = detect_locking(cosine_lif(BETA_LOCKED_7_10), rho_tol=3e-4)
     assert res.status == "undecided" and not res.locked
     assert (res.p, res.q) == (7, 10)
-    assert sum(spikes) == math.ceil(1.0 / rho_tol)
+    assert sum(spikes) == 1024
+
+
+@pytest.mark.parametrize("system", [golden_pi(), IFSystem(0.0, constant(math.sqrt(3.0)))],
+                         ids=["golden", "constant-sqrt3"])
+def test_detect_locking_certifies_pi_unlocked(system):
+    res = detect_locking(system)
+    assert res.status == "unlocked" and not res.locked
+    assert res.margin > 0
+    rho = pi_rotation(system.signal).value
+    assert res.q <= 64 and abs(rho - res.p / res.q) < 1.0 / res.q
+
+
+def test_detect_locking_pi_rational_beyond_q_max_is_undecided(monkeypatch):
+    # rho is about 50/67: no fraction with q <= 64 is it, but the orbit locks
+    # onto a 67-cycle that neither the orbit nor the grid can place
+    spikes = _count_spikes(monkeypatch)
+    res = detect_locking(IFSystem(0.0, TrigPolynomial(1.34, [(1, 0.5, 0.0)])))
+    assert res.status == "undecided"
+    assert sum(spikes) <= 2048
 
 
 def test_detect_locking_certifies_from_a_short_orbit(monkeypatch):
@@ -246,7 +281,7 @@ def test_staircase_records_errors_and_continues():
 def test_staircase_plateau_inside_tongue():
     # the locking plateau has positive width: rho stays at 7/10 across it
     betas = [0.42, 0.425, 0.43, 0.435, 0.44]
-    points = staircase_scan(cosine_lif, betas, n=20000, with_locking=False)
+    points = staircase_scan(cosine_lif, betas, n=20000)
     for pt in points:
         assert abs(pt.estimate.value - 0.7) <= 1.0 / 20000
 

@@ -69,47 +69,41 @@ class RunConfig:
     q_max: int = 64
 
 
-_RUN_KEYS = {
-    "t0": float,
-    "n": int,
-    "out": str,
-    "bins": int,
-    "q": int,
-    "eps": float,
-    "burn_in": int,
-    "param_grid": str,
-}
-_TOL_KEYS = {
-    "rho_tol": float,
-    "residual_tol": float,
-    "q_max": int,
+# config section -> key -> (RunConfig field, cast)
+_CONFIG_KEYS = {
+    "system": {"sigma": ("sigma", float), "signal": ("signal", str)},
+    "perturbed": {"sigma": ("sigma2", float), "signal": ("signal2", str)},
+    "run": {key: (key, cast) for key, cast in [
+        ("t0", float), ("n", int), ("out", str), ("bins", int), ("q", int), ("eps", float),
+        ("burn_in", int), ("param_grid", str)]},
+    "tolerances": {key: (key, cast) for key, cast in [
+        ("rho_tol", float), ("residual_tol", float), ("q_max", int)]},
 }
 
 
 def load_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    """Read an INI config; an unknown section or key or a malformed value is a usage error."""
+    cp = configparser.ConfigParser(default_section="")
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise UsageError(f"cannot read config file {path!r}")
     cfg = RunConfig()
-    if cp.has_section("system"):
-        if cp.has_option("system", "sigma"):
-            cfg.sigma = cp.getfloat("system", "sigma")
-        if cp.has_option("system", "signal"):
-            cfg.signal = cp.get("system", "signal")
-    if cp.has_section("perturbed"):
-        if cp.has_option("perturbed", "sigma"):
-            cfg.sigma2 = cp.getfloat("perturbed", "sigma")
-        if cp.has_option("perturbed", "signal"):
-            cfg.signal2 = cp.get("perturbed", "signal")
-    if cp.has_section("run"):
-        for key, cast in _RUN_KEYS.items():
-            if cp.has_option("run", key):
-                setattr(cfg, key, cast(cp.get("run", key)))
-    if cp.has_section("tolerances"):
-        for key, cast in _TOL_KEYS.items():
-            if cp.has_option("tolerances", key):
-                setattr(cfg, key, cast(cp.get("tolerances", key)))
+    for section in cp.sections():
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
+            raise UsageError(f"config {path!r}: unknown section [{section}]")
+        for key, value in cp.items(section):
+            if key not in keys:
+                raise UsageError(f"config {path!r}: unknown key {key!r} in [{section}]")
+            field, cast = keys[key]
+            try:
+                setattr(cfg, field, cast(value))
+            except ValueError:
+                raise UsageError(f"config {path!r}: [{section}] {key} = {value!r} "
+                                 f"is not a valid {cast.__name__}") from None
     for key in ("rho_tol", "residual_tol", "eps"):
         if getattr(cfg, key) <= 0:
             raise UsageError(f"tolerance {key} must be > 0")

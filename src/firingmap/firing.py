@@ -22,8 +22,8 @@ safeguarded Newton iteration on the signal's periodic antiderivative
 :func:`iterate` and :func:`iterate_cumulative_pi`.  Its lane-wise copy on
 numpy arrays, :func:`_newton_batch`, serves :func:`firing_times`, the map
 on a whole grid of start times.  The one exception is a piecewise-constant
-drive with sigma = 0, whose crossings are found exactly by a rational
-segment walk.
+drive with sigma = 0, whose crossings are found exactly, one lookup each, in
+the signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
 
 Firing times are absolute; nothing here reduces orbits mod 1.
 """
@@ -31,10 +31,9 @@ Firing times are absolute; nothing here reduces orbits mod 1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -317,9 +316,9 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
         t = t0
         for i in range(n):
             if cumulative:
-                times[i] = float(_pi_pwc_crossing(sig, t0, Fraction(i + 1)))
+                times[i] = _pi_pwc_crossing(sig, t0, i + 1)
             else:
-                t = times[i] = float(_pi_pwc_crossing(sig, t, Fraction(1)))
+                t = times[i] = _pi_pwc_crossing(sig, t, 1)
         return times
     kern, mean = sig.kernel(sigma), sig.mean()
     snap = isinstance(sig, Sampled) and sigma == 0.0
@@ -341,31 +340,30 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
     return times
 
 
-def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, threshold: Fraction) -> Fraction:
-    """Leftmost s with integral_t^s f >= threshold, exactly, for sigma = 0."""
-    x = Fraction(t)
-    need = threshold
-    fb, fv, mass = sig._fb, sig._fv, sig.period_mass
-    if mass <= 0:
-        raise IllPosedError("piecewise-constant input has nonpositive mean")
-    max_passes = math.ceil(need / mass) + 2
-    for _ in range(max_passes * len(fv) + 2):
-        if need == 0:
-            return x
-        k = math.floor(x)
-        tau = x - k
-        i = bisect_right(fb, tau) - 1  # segment containing tau
-        seg_end = k + fb[i + 1]
-        v = fv[i]
-        cap = v * (seg_end - x)
-        if v > 0 and cap >= need:
-            return x + need / v
-        need -= cap
-        x = seg_end
-    raise NoConvergenceError(
-        f"piecewise-constant crossing walk did not terminate after t={t!r}: "
-        f"bracket [{t!r}, {float(x)!r}], residual {float(-need):.3e}"
-    )
+def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, m: int) -> float:
+    """Leftmost s with integral_t^s f >= m for sigma = 0, correctly rounded.
+
+    One lookup in the signal's exact prefix table: the target C(t) + m is
+    k whole periods plus a remainder r, and the leftmost table entry that
+    reaches r, across zero steps too, names the segment of the crossing.
+    Running maxima ``tops`` keep it leftmost if a value is slightly negative:
+    a period then peaks ``excess`` above its mass and covers the levels
+    k*mass + (excess, mass + excess].
+    """
+    e, c = sig._cumulative(t)
+    bs, cs, tops = sig._table(e)
+    excess = tops[-1] - cs[-1]
+    k, r = divmod(c + (m << (e + sig._vexp)) - 1 - excess, cs[-1])
+    r += 1 + excess
+    j = bisect_left(tops, r) - 1
+    v = sig._ivalues[j]
+    if not (v > 0 and cs[j] < r <= cs[j + 1]):
+        raise NoConvergenceError(
+            f"piecewise-constant crossing lookup failed after t={t!r}: "
+            f"bracket [{((k << e) + bs[j]) / (1 << e)!r}, {((k << e) + bs[j + 1]) / (1 << e)!r}], "
+            f"residual {(cs[j + 1] - r) / (1 << (e + sig._vexp)):.3e}"
+        )
+    return (((k << e) + bs[j]) * v + r - cs[j]) / (v << e)
 
 
 def firing_time(system: IFSystem, t: float) -> float:
@@ -378,8 +376,7 @@ def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
-        one = Fraction(1)
-        return np.array([float(_pi_pwc_crossing(sig, t, one)) for t in ts.tolist()])
+        return np.array([_pi_pwc_crossing(sig, t, 1) for t in ts.tolist()])
     kern, mean = sig.kernel_array(sigma), sig.mean()
     q0 = kern(ts)[0]
     x = ts + _newton_batch(kern, sigma, mean, ts, q0, _max_displacement(system), d)

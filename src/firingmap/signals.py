@@ -4,7 +4,7 @@ Three concrete families are supported:
 
 * :class:`TrigPolynomial` -- a finite cosine/sine series;
 * :class:`PiecewiseConstant` -- left-closed/right-open steps, plain integrals
-  done in exact rational arithmetic;
+  exact in scaled integers and rounded once;
 * :class:`Sampled` -- values on a uniform grid with linear interpolation.
 
 Every integral goes through one periodic antiderivative per signal and leak
@@ -21,7 +21,7 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +31,12 @@ TWO_PI = 2.0 * math.pi
 def frac(t: float) -> float:
     """Fractional part t - floor(t), exact in floating point, in [0, 1)."""
     return t - math.floor(t)
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(n, e) with x = n / 2**e exactly and e >= 0 (floats are dyadic rationals)."""
+    n, d = float(x).as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -295,9 +301,9 @@ class PiecewiseConstant(PeriodicSignal):
     """Step function on [0, 1): value[i] on [breakpoints[i], breakpoints[i+1]).
 
     Breakpoints must start at 0 and be strictly increasing within [0, 1).
-    Integrals are computed in exact rational arithmetic (floats are exact
-    binary rationals), so period-unrolled integrals carry no roundoff beyond
-    the final conversion back to float.
+    Plain integrals are exact: breakpoints and end points are ints at a fine
+    enough scale 2**e, values at their own scale 2**_vexp, and only the final
+    int/int division rounds (correctly, in CPython).
     """
 
     def __init__(self, breakpoints, values):
@@ -311,26 +317,40 @@ class PiecewiseConstant(PeriodicSignal):
             raise ValueError("breakpoints must be strictly increasing within [0, 1)")
         self.breakpoints = breakpoints
         self.values = values
-        self._fb = [Fraction(b) for b in breakpoints] + [Fraction(1)]
-        self._fv = [Fraction(v) for v in values]
-        self._fcum = [Fraction(0)]
-        for i, v in enumerate(self._fv):
-            self._fcum.append(self._fcum[-1] + v * (self._fb[i + 1] - self._fb[i]))
-        self._mean = float(self._fcum[-1])
+        self._bs = [_dyadic(b) for b in breakpoints] + [(1, 0)]
+        self._bexp = max(e for _, e in self._bs)
+        vs = [_dyadic(v) for v in values]
+        self._vexp = max(e for _, e in vs)
+        self._ivalues = [n << (self._vexp - e) for n, e in vs]
+        self._tables = {}  # at most one per scale e <= 1074
+        self._mean = self._table(self._bexp)[1][-1] / (1 << (self._bexp + self._vexp))
 
     def __repr__(self):
         return f"PiecewiseConstant({list(self.breakpoints)!r}, {list(self.values)!r})"
 
-    @property
-    def period_mass(self) -> Fraction:
-        """Exact integral of f over one period."""
-        return self._fcum[-1]
+    def _table(self, e: int):
+        """(bs, cs, tops) at the scale 2**e: the breakpoints and 1 times 2**e, the
+        prefix masses cs[j] = integral_0^{b_j} f times 2**(e + _vexp), and their
+        running maxima (cs itself unless a value is negative)."""
+        tab = self._tables.get(e)
+        if tab is None:
+            bs = [n << (e - eb) for n, eb in self._bs]
+            cs = [0, *accumulate(v * (b1 - b0) for v, b0, b1 in zip(self._ivalues, bs, bs[1:]))]
+            tab = self._tables[e] = bs, cs, list(accumulate(cs, max))
+        return tab
 
-    def _segment_index(self, tau: float) -> int:
-        return bisect_right(self.breakpoints, tau) - 1
+    def _cumulative(self, t: float, e: int = 0):
+        """(e', integral_0^t f times 2**(e' + _vexp)) at the finest scale e' of
+        e, t and the breakpoints."""
+        n, et = _dyadic(t)
+        e = max(e, et, self._bexp)
+        bs, cs, _ = self._table(e)
+        k, tau = divmod(n << (e - et), 1 << e)
+        i = bisect_right(bs, tau) - 1
+        return e, k * cs[-1] + cs[i] + self._ivalues[i] * (tau - bs[i])
 
     def eval(self, t: float) -> float:
-        return self.values[self._segment_index(frac(t))]
+        return self.values[bisect_right(self.breakpoints, frac(t)) - 1]
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         tau = np.asarray(ts, dtype=float)
@@ -338,20 +358,9 @@ class PiecewiseConstant(PeriodicSignal):
         idx = np.searchsorted(self.breakpoints, tau, side="right") - 1
         return np.asarray(self.values, dtype=float)[idx]
 
-    def cumulative_exact(self, x: Fraction) -> Fraction:
-        """Exact integral of f over [0, x] for rational x."""
-        k = math.floor(x)
-        tau = x - k
-        i = bisect_right(self._fb, tau) - 1
-        if i == len(self._fv):  # tau == 1 cannot happen, but guard anyway
-            i -= 1
-        return k * self._fcum[-1] + self._fcum[i] + self._fv[i] * (tau - self._fb[i])
-
-    def integral_exact(self, a: Fraction, b: Fraction) -> Fraction:
-        return self.cumulative_exact(b) - self.cumulative_exact(a)
-
     def integral(self, a: float, b: float) -> float:
-        return float(self.integral_exact(Fraction(a), Fraction(b)))
+        e, ca = self._cumulative(a, _dyadic(b)[1])
+        return (self._cumulative(b, e)[1] - ca) / (1 << (e + self._vexp))
 
     def _make_kernel(self, sigma: float, array: bool):
         return _linear_pieces_kernel(sigma, self.breakpoints, self.values,

@@ -1,6 +1,8 @@
-"""Shared system factories for the test suite."""
+"""Shared system factories and exact step-drive oracles for the test suite."""
 
 import math
+from bisect import bisect_right
+from fractions import Fraction
 
 from firingmap import IFSystem, PiecewiseConstant, TrigPolynomial, constant
 
@@ -37,3 +39,51 @@ def golden_pi(amp: float = 0.5) -> IFSystem:
 # witness) to sit inside the 7/10 locking tongue of the cosine_lif family,
 # which spans roughly beta in [0.412, 0.444]
 BETA_LOCKED_7_10 = 0.43
+
+
+def _pwc_fractions(sig):
+    """Breakpoints (with 1 appended), values and prefix masses of a step drive, as Fractions."""
+    fb = [Fraction(b) for b in sig.breakpoints] + [Fraction(1)]
+    fv = [Fraction(v) for v in sig.values]
+    fcum = [Fraction(0)]
+    for i, v in enumerate(fv):
+        fcum.append(fcum[-1] + v * (fb[i + 1] - fb[i]))
+    return fb, fv, fcum
+
+
+def pwc_cumulative_oracle(sig, x: Fraction) -> Fraction:
+    """Exact integral of a step drive over [0, x], in rational arithmetic."""
+    fb, fv, fcum = _pwc_fractions(sig)
+    k = math.floor(x)
+    i = bisect_right(fb, x - k) - 1
+    return k * fcum[-1] + fcum[i] + fv[i] * (x - k - fb[i])
+
+
+def pwc_integral_oracle(sig, a: float, b: float) -> Fraction:
+    """Exact integral of a step drive over [a, b]."""
+    return pwc_cumulative_oracle(sig, Fraction(b)) - pwc_cumulative_oracle(sig, Fraction(a))
+
+
+def pwc_crossing_oracle(sig, t: float, threshold: int) -> Fraction:
+    """Leftmost s with integral_t^s f >= threshold, exactly (sigma = 0).
+
+    A rational walk over the segments from t, which may be a Fraction; the
+    reference for the scaled-integer lookup of the library.
+    """
+    fb, fv, fcum = _pwc_fractions(sig)
+    x, need = Fraction(t), Fraction(threshold)
+    if min(fv) >= 0:  # monotone: whole periods short of the threshold are skipped
+        skip = max(math.ceil(need / fcum[-1]) - 1, 0)
+        x, need = x + skip, need - skip * fcum[-1]
+    for _ in range((math.ceil(need / fcum[-1]) + 2) * len(fv) + 2):
+        if need == 0:
+            return x
+        k = math.floor(x)
+        i = bisect_right(fb, x - k) - 1  # segment containing x
+        seg_end = k + fb[i + 1]
+        cap = fv[i] * (seg_end - x)
+        if fv[i] > 0 and cap >= need:
+            return x + need / fv[i]
+        need -= cap
+        x = seg_end
+    raise AssertionError(f"the walk from t={t!r} did not terminate")

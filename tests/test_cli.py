@@ -248,6 +248,24 @@ def test_config_missing_file(capsys):
     assert run_cli(capsys, "simulate", "--config", "/nonexistent.ini")[0] == 1
 
 
+@pytest.mark.parametrize("body, named", [
+    # a removed key and a misspelt one used to run with the default q_max
+    ("[tolerances]\ngrid_size = 7\nq_maxx = 3\n", ["[tolerances]", "'grid_size'"]),
+    ("[tolerances]\nq_maxx = 3\n", ["[tolerances]", "'q_maxx'"]),
+    ("[sytem]\nsigma = 1\n", ["unknown section [sytem]"]),
+    ("[run]\nn = abc\n", ["[run] n = 'abc'", "int"]),
+    ("[system]\nsigma = one\n", ["[system] sigma = 'one'", "float"]),
+], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float"])
+def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, named):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(body)
+    code, out, err = run_cli(capsys, "rotation", "--sigma", "1", "--signal", "trig:2;1,0.86,0",
+                             "--config", str(cfg))
+    assert code == 1 and not out
+    for text in named:
+        assert text in err
+
+
 def test_determinism(capsys, tmp_path):
     args = ["simulate", "--sigma", "1", "--signal", "trig:2;1,0.5,0", "--n", "500"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

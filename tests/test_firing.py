@@ -26,7 +26,7 @@ from firingmap import (
     validate,
 )
 
-from helpers import cosine_lif, pi_half_on, translation_lif
+from helpers import cosine_lif, pi_half_on, pwc_crossing_oracle, translation_lif
 
 
 def test_validate_strict():
@@ -104,6 +104,30 @@ def test_pi_cumulative_formulation_agrees():
         a = iterate(system, t0, 12).times
         b = iterate_cumulative_pi(system, t0, 12).times
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+def test_pi_step_cumulative_thresholds_exact():
+    # one table lookup per threshold: 2,000 thresholds cost milliseconds
+    sig = PiecewiseConstant([0.0, 0.4], [2.6, 0.5])
+    system = IFSystem(0.0, sig)
+    got = iterate_cumulative_pi(system, 0.3, 2000).times
+    want, x = [], Fraction(0.3)
+    for _ in range(2000):
+        x = pwc_crossing_oracle(sig, x, 1)  # exact, so the chain is the cumulative crossing
+        want.append(float(x))
+    assert got.tolist() == want
+    assert np.max(np.abs(got - iterate(system, 0.3, 2000).times)) < 1e-10
+
+
+def test_pi_step_slightly_negative_value_stays_leftmost():
+    # ess inf f = -1e-13 passes as a perfect integrator; each period peaks at
+    # its middle, 5e-14 above its mass, so from t = k the threshold is first
+    # reached at k + 1/2 in the same period, not just after k + 1
+    sig = PiecewiseConstant([0.0, 0.5], [2.0, -1e-13])
+    system = IFSystem(0.0, sig)
+    for t in (0.0, 1.0, 3.0, 0.75, 0.999999):
+        assert firing_time(system, t) == float(pwc_crossing_oracle(sig, t, 1))
+    assert firing_time(system, 1.0) == 1.5
 
 
 def test_derivative_constant_is_one():
@@ -365,7 +389,10 @@ def test_no_convergence_names_t_bracket_and_residual(monkeypatch, solve, max_ite
 
 def test_pwc_walk_no_convergence_names_t_bracket_and_residual():
     sig = PiecewiseConstant([0.0], [0.1])
-    sig._fcum = [Fraction(0), Fraction(100)]  # overstated mass: the walk stops at t = 5
+    bs, cs, tops = sig._table(2)  # the scale of t = 0.25
+    # an overstated running maximum: the lookup lands one period early, on a
+    # segment whose end falls 0.025 short of the target
+    tops[-1] = 2 * cs[-1]
     with pytest.raises(NoConvergenceError) as err:
         firing_time(IFSystem(0.0, sig), 0.25)
-    assert "after t=0.25: bracket [0.25, 5.0], residual -5.250e-01" in str(err.value)
+    assert "after t=0.25: bracket [9.0, 10.0], residual -2.500e-02" in str(err.value)

@@ -1,9 +1,11 @@
-"""Property-based checks over random strict drives of every kind.
+"""Property-based checks over random drives of every kind.
 
-Each drive keeps ess inf(f - sigma) >= 0.2, so the firing map is the lift
-of a circle homeomorphism and every crossing is simple.  The leaky drives
-cover every signal kind; the batched map is also checked on perfect
-integrators (sigma = 0) with trigonometric drives.
+Each strict drive keeps ess inf(f - sigma) >= 0.2, so the firing map is the
+lift of a circle homeomorphism and every crossing is simple.  The leaky
+drives cover every signal kind; the batched map is also checked on perfect
+integrators (sigma = 0) with trigonometric drives.  Step-drive perfect
+integrators, zero steps included, must match the exact rational oracle of
+``helpers`` bit for bit.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from firingmap import (
@@ -24,7 +26,10 @@ from firingmap import (
     firing_time,
     firing_times,
     iterate,
+    iterate_cumulative_pi,
 )
+
+from helpers import half_on_half_off, pwc_crossing_oracle, pwc_integral_oracle
 
 MARGIN = 0.2
 sigmas = st.floats(0.25, 3.0)
@@ -147,3 +152,65 @@ def test_sampled_weighted_integral_exact(sigma, levels_, t, delta):
     with mpmath.workdps(30):
         ref = _mp_sampled_weighted(values, sigma, t, delta)
     assert got == pytest.approx(float(ref), rel=1e-12)
+
+
+@st.composite
+def pi_step_drives(draw):
+    """1 to 64 steps, zero steps allowed, positive mean."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=63, unique=True))
+    breaks = [0.0] + sorted(inner)
+    values = draw(st.lists(st.just(0.0) | st.floats(0.01, 8.0),
+                           min_size=len(breaks), max_size=len(breaks)))
+    sig = PiecewiseConstant(breaks, values)
+    assume(sig.mean() > 1e-9)
+    return sig
+
+
+SPECIAL_STARTS = [1e-300, 5e-324, 1e6]
+# 64 steps with non-dyadic breakpoints and a zero step two in every three
+STEP64 = PiecewiseConstant([math.sqrt(j / 64) for j in range(64)],
+                           [0.0 if j % 3 else 0.5 + 0.1 * j for j in range(64)])
+# unit mass: from t = 0 every threshold is reached exactly where a zero step begins
+HALF_ON = half_on_half_off()
+
+
+def pi_starts(sig):
+    """A uniform start, a breakpoint shifted by whole periods, or an extreme start."""
+    shifted = st.tuples(st.integers(-3, 3), st.sampled_from(sig.breakpoints)).map(sum)
+    return st.floats(-5.0, 5.0) | shifted | st.sampled_from(SPECIAL_STARTS)
+
+
+pi_step_cases = pi_step_drives().flatmap(lambda sig: st.tuples(st.just(sig), pi_starts(sig)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi_step_cases)
+@example((STEP64, STEP64.breakpoints[31] + 2))
+@example((HALF_ON, 0.0))
+def test_pi_step_firing_time_and_cumulative_match_oracle(case):
+    sig, t = case
+    system = IFSystem(0.0, sig)
+    want = [float(pwc_crossing_oracle(sig, t, m)) for m in range(1, 6)]
+    assert firing_time(system, t) == want[0]
+    assert iterate_cumulative_pi(system, t, 5).times.tolist() == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(pi_step_drives(), st.floats(-5.0, 5.0))
+@example(STEP64, 0.3)
+@example(HALF_ON, 0.0)
+def test_pi_step_firing_times_lanes_match_oracle(sig, u):
+    ts = [u, *SPECIAL_STARTS] + [k + b for b in sig.breakpoints for k in (0, -2, 3)]
+    phi = firing_times(IFSystem(0.0, sig), ts)
+    assert phi.tolist() == [float(pwc_crossing_oracle(sig, t, 1)) for t in ts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi_step_cases, st.floats(0.0, 10.0))
+@example((STEP64, 5e-324), 7.3)
+def test_pi_step_integral_matches_oracle(case, width):
+    sig, a = case
+    for b in (a + width, a + 1.0, 1e6):
+        if b >= a:
+            assert sig.integral(a, b) == float(pwc_integral_oracle(sig, a, b))

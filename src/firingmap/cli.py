@@ -20,7 +20,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import FiringMapError
 from .firing import IFSystem, Regime, iterate
@@ -104,9 +104,6 @@ def load_config(path: str) -> RunConfig:
             except ValueError:
                 raise UsageError(f"config {path!r}: [{section}] {key} = {value!r} "
                                  f"is not a valid {cast.__name__}") from None
-    for key in ("rho_tol", "residual_tol", "eps"):
-        if getattr(cfg, key) <= 0:
-            raise UsageError(f"tolerance {key} must be > 0")
     return cfg
 
 
@@ -157,36 +154,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# RunConfig field -> argparse destination, where the flag has another name
+_FLAG_DEST = {"rho_tol": "tol"}
+# the least accepted value of each count, and the tolerances, which must be > 0
+_MIN_COUNT = {"n": 1, "bins": 1, "q": 1, "q_max": 1, "burn_in": 0}
+_POSITIVE = ("eps", "rho_tol", "residual_tol")
+
+
 def _merge(args) -> RunConfig:
+    """The config file (if any) overridden by the flags given, then range-checked."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "sigma", None) is not None:
-        cfg.sigma = args.sigma
-    if getattr(args, "signal", None) is not None:
-        cfg.signal = args.signal
-    if getattr(args, "sigma2", None) is not None:
-        cfg.sigma2 = args.sigma2
-    if getattr(args, "signal2", None) is not None:
-        cfg.signal2 = args.signal2
-    if getattr(args, "t0", None) is not None:
-        cfg.t0 = args.t0
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise UsageError("--tol must be > 0")
-        cfg.rho_tol = args.tol
-    if getattr(args, "bins", None) is not None:
-        cfg.bins = args.bins
-    if getattr(args, "q", None) is not None:
-        cfg.q = args.q
-    if getattr(args, "eps", None) is not None:
-        cfg.eps = args.eps
-    if getattr(args, "burn_in", None) is not None:
-        cfg.burn_in = args.burn_in
-    if getattr(args, "param_grid", None) is not None:
-        cfg.param_grid = args.param_grid
+    for f in fields(RunConfig):
+        value = getattr(args, _FLAG_DEST.get(f.name, f.name), None)
+        if value is not None:
+            setattr(cfg, f.name, value)
+    for name, least in _MIN_COUNT.items():
+        if getattr(cfg, name) < least:
+            raise UsageError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
+    for name in _POSITIVE:
+        if not getattr(cfg, name) > 0:
+            raise UsageError(f"{name} must be > 0, got {getattr(cfg, name)!r}")
     return cfg
 
 

@@ -34,7 +34,7 @@ from .firing import (
     iterate,
 )
 from .rotation import detect_locking
-from .signals import PeriodicSignal, TrigPolynomial
+from .signals import PeriodicSignal, TrigPolynomial, _golden_min
 
 
 @dataclass(frozen=True)
@@ -263,36 +263,21 @@ def check_measure_invariance(signal: PeriodicSignal, intervals) -> float:
     return worst
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmin of a unimodal function by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def displacement_range(system: IFSystem, grid_size: int = 512) -> tuple[float, float]:
     """[min, max] of the displacement Psi over one period (strict regime).
 
     Grid scan refined by golden-section search around the grid extrema.
     """
+    ts = np.arange(grid_size) / grid_size
+    return _psi_extrema(system, ts, Displacement(system).on_grid(ts))
+
+
+def _psi_extrema(system: IFSystem, ts: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
+    """:func:`displacement_range` from Psi on the uniform grid ts of [0, 1)."""
     if system.regime is not Regime.STRICT_LIF:
         raise ValueError("displacement_range requires the strict regime")
     psi_at = Displacement(system)
-    ts = np.arange(grid_size) / grid_size
-    psi = psi_at.on_grid(ts)
-    h = 1.0 / grid_size
+    h = 1.0 / ts.size
     i_lo = int(np.argmin(psi))
     i_hi = int(np.argmax(psi))
     t_lo = _golden_min(psi_at, float(ts[i_lo]) - h, float(ts[i_lo]) + h)
@@ -410,7 +395,7 @@ def isi_density_pi(
     psi_at = Displacement(system)
     ts = np.linspace(0.0, 1.0, root_grid_size + 1)
     psi_grid = psi_at.on_grid(ts)
-    lo, hi = displacement_range(system, grid_size=root_grid_size)
+    lo, hi = _psi_extrema(system, ts[:-1], psi_grid[:-1])
     width = hi - lo
     if width <= 0.0:
         raise RationalRotationError("degenerate displacement range (rigid rotation)")

@@ -9,7 +9,9 @@ Three concrete families are supported:
 
 Every integral goes through one periodic antiderivative per signal and leak
 rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
-the interpolant of a sampled signal).
+the interpolant of a sampled signal).  Its f is the only evaluation of f;
+extrema of a trigonometric polynomial come from a golden-section search
+(:func:`_golden_min`) around every grid well that can hold them.
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -28,15 +30,28 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def frac(t: float) -> float:
-    """Fractional part t - floor(t), exact in floating point, in [0, 1)."""
-    return t - math.floor(t)
-
-
 def _dyadic(x: float) -> tuple[int, int]:
     """(n, e) with x = n / 2**e exactly and e >= 0 (floats are dyadic rationals)."""
     n, d = float(x).as_integer_ratio()
     return n, d.bit_length() - 1
+
+
+def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
+    """Argmin of a unimodal function on [a, b] by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -68,13 +83,13 @@ class PeriodicSignal(ABC):
         for name in ("integral", "weighted_integral_scaled"):
             setattr(cls, name, getattr(cls, name))
 
-    @abstractmethod
     def eval(self, t: float) -> float:
-        """Value f(t mod 1)."""
+        """Value f(t mod 1), from the kernel."""
+        return self.kernel(0.0)(t)[1]
 
-    @abstractmethod
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`eval`."""
+        """Vectorized :meth:`eval`, from the array kernel."""
+        return self.kernel_array(0.0)(np.asarray(ts, dtype=float))[1]
 
     @abstractmethod
     def _make_kernel(self, sigma: float, array: bool):
@@ -167,33 +182,6 @@ class TrigPolynomial(PeriodicSignal):
     def __repr__(self):
         return f"TrigPolynomial(a0={self.a0!r}, harmonics={self.harmonics!r})"
 
-    def eval(self, t: float) -> float:
-        tau = frac(t)
-        out = self.a0
-        for k, c, s in self.harmonics:
-            th = TWO_PI * k * tau
-            out += c * math.cos(th) + s * math.sin(th)
-        return out
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        tau = np.asarray(ts, dtype=float)
-        tau = tau - np.floor(tau)
-        out = np.full_like(tau, self.a0)
-        for k, c, s in self.harmonics:
-            th = TWO_PI * k * tau
-            out += c * np.cos(th) + s * np.sin(th)
-        return out
-
-    def fprime(self, t: float) -> float:
-        """Derivative f'(t)."""
-        tau = frac(t)
-        out = 0.0
-        for k, c, s in self.harmonics:
-            w = TWO_PI * k
-            th = w * tau
-            out += -c * w * math.sin(th) + s * w * math.cos(th)
-        return out
-
     def _make_kernel(self, sigma: float, array: bool):
         # per harmonic: w, the cos/sin coefficients of Q, the cos/sin coefficients of f
         a0 = self.a0
@@ -232,61 +220,30 @@ class TrigPolynomial(PeriodicSignal):
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         if not self.harmonics:
             return EssentialBounds(self.a0 - sigma, self.a0)
-        lo = self._extremum(minimize=True)
-        hi = self._extremum(minimize=False)
-        return EssentialBounds(lo - sigma, hi)
+        return EssentialBounds(self._extremum(1.0) - sigma, -self._extremum(-1.0))
 
-    def _extremum(self, minimize: bool) -> float:
-        # Dense grid scan refined by Newton/bisection on f' near the winner;
-        # 16 points per period of the highest harmonic, so none aliases
+    def _extremum(self, sign: float) -> float:
+        """Minimum of sign * f over one period.
+
+        A grid of 16 points per period of the highest harmonic, so none
+        aliases, then a golden search +-h around every grid well (strictly
+        below its left neighbour, not above its right one) that can hold the
+        minimum: within m2*h**2/4 of the grid minimum, where m2 bounds
+        |f''|, and in one period 1/g of f, g the gcd of the harmonic indices.
+        """
         grid = max(4096, 16 * self.harmonics[-1][0])
-        ts = np.arange(grid) / grid
-        vals = self.eval_array(ts)
-        i = int(np.argmin(vals) if minimize else np.argmax(vals))
-        best = float(vals[i])
         h = 1.0 / grid
-        t0 = float(ts[i])
-        root = self._refine_critical(t0 - h, t0 + h)
-        if root is not None:
-            cand = self.eval(root)
-            best = min(best, cand) if minimize else max(best, cand)
+        vals = sign * self.eval_array(np.arange(grid) / grid)
+        best = float(vals.min())
+        m2 = sum((TWO_PI * k) ** 2 * math.hypot(c, s) for k, c, s in self.harmonics)
+        g = math.gcd(*(k for k, _, _ in self.harmonics))
+        wells = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+        wells &= vals <= best + m2 * h * h / 4
+        kern = self.kernel(0.0)
+        for i in np.flatnonzero(wells[: grid // g + 2]).tolist():
+            t = _golden_min(lambda u: sign * kern(u)[1], (i - 1) * h, (i + 1) * h)
+            best = min(best, sign * kern(t)[1])
         return best
-
-    def _refine_critical(self, lo: float, hi: float, tol: float = 1e-13):
-        glo, ghi = self.fprime(lo), self.fprime(hi)
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if glo * ghi > 0.0:
-            return None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = self.fprime(mid)
-            # one safeguarded Newton step from the midpoint
-            d2 = self._fsecond(mid)
-            if d2 != 0.0:
-                cand = mid - gm / d2
-                if lo < cand < hi:
-                    gc = self.fprime(cand)
-                    if abs(gc) < abs(gm):
-                        mid, gm = cand, gc
-            if gm == 0.0 or hi - lo < tol:
-                return mid
-            if (gm > 0.0) == (ghi > 0.0):
-                hi, ghi = mid, gm
-            else:
-                lo, glo = mid, gm
-        return 0.5 * (lo + hi)
-
-    def _fsecond(self, t: float) -> float:
-        tau = frac(t)
-        out = 0.0
-        for k, c, s in self.harmonics:
-            w = TWO_PI * k
-            th = w * tau
-            out += -c * w * w * math.cos(th) - s * w * w * math.sin(th)
-        return out
 
     def is_continuous_at(self, t: float) -> bool:
         return True
@@ -349,15 +306,6 @@ class PiecewiseConstant(PeriodicSignal):
         i = bisect_right(bs, tau) - 1
         return e, k * cs[-1] + cs[i] + self._ivalues[i] * (tau - bs[i])
 
-    def eval(self, t: float) -> float:
-        return self.values[bisect_right(self.breakpoints, frac(t)) - 1]
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        tau = np.asarray(ts, dtype=float)
-        tau = tau - np.floor(tau)
-        idx = np.searchsorted(self.breakpoints, tau, side="right") - 1
-        return np.asarray(self.values, dtype=float)[idx]
-
     def integral(self, a: float, b: float) -> float:
         e, ca = self._cumulative(a, _dyadic(b)[1])
         return (self._cumulative(b, e)[1] - ca) / (1 << (e + self._vexp))
@@ -379,7 +327,7 @@ class PiecewiseConstant(PeriodicSignal):
         return pts
 
     def is_continuous_at(self, t: float) -> bool:
-        tau = frac(t)
+        tau = t % 1.0
         return all(abs(tau - b) > 1e-12 for b in self.jump_points())
 
 
@@ -401,26 +349,6 @@ class Sampled(PeriodicSignal):
 
     def __repr__(self):
         return f"Sampled(n={self._n}, source={self.source_path!r})"
-
-    def eval(self, t: float) -> float:
-        x = frac(t) * self._n
-        j = int(x)
-        if j == self._n:  # frac can round up to n only via x==n exactly
-            j -= 1
-        th = x - j
-        v0 = self.values[j]
-        v1 = self.values[(j + 1) % self._n]
-        return v0 + (v1 - v0) * th
-
-    def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        tau = np.asarray(ts, dtype=float)
-        tau = tau - np.floor(tau)
-        x = tau * self._n
-        j = np.minimum(x.astype(int), self._n - 1)
-        th = x - j
-        v0 = self.values[j]
-        v1 = self.values[(j + 1) % self._n]
-        return v0 + (v1 - v0) * th
 
     def _make_kernel(self, sigma: float, array: bool):
         n = self._n

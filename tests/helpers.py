@@ -1,8 +1,11 @@
-"""Shared system factories and exact step-drive oracles for the test suite."""
+"""Shared system factories and the test suite's oracles: exact step-drive
+integrals and crossings, and the extrema of a trigonometric drive."""
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
+
+import numpy as np
 
 from firingmap import IFSystem, PiecewiseConstant, TrigPolynomial, constant
 
@@ -87,3 +90,39 @@ def pwc_crossing_oracle(sig, t: float, threshold: int) -> Fraction:
         need -= cap
         x = seg_end
     raise AssertionError(f"the walk from t={t!r} did not terminate")
+
+
+def trig_extrema_oracle(sig) -> tuple[float, float]:
+    """(min f, max f) of a trigonometric drive, independently of the library.
+
+    Closed-form f, f' and f'' on a grid of 64 points per period of the
+    highest harmonic, then Newton on f' from *every* local extremum of the
+    grid, each kept within one grid step of its start.  Refining only the
+    grid's best point would miss the true extremum when two wells are
+    nearly level.
+    """
+    n = 64 * sig.harmonics[-1][0]
+    h = 1.0 / n
+
+    def derivs(t):
+        f, d1, d2 = np.full(t.shape, sig.a0), np.zeros(t.shape), np.zeros(t.shape)
+        for k, c, s in sig.harmonics:
+            w = 2.0 * math.pi * k
+            ct, st = np.cos(w * t), np.sin(w * t)
+            f += c * ct + s * st
+            d1 += w * (s * ct - c * st)
+            d2 -= w * w * (c * ct + s * st)
+        return f, d1, d2
+
+    ts = np.arange(n) * h
+    out = []
+    for sign in (1.0, -1.0):
+        v = sign * derivs(ts)[0]
+        start = ts[(v <= np.roll(v, 1)) & (v <= np.roll(v, -1))]
+        x = start
+        for _ in range(60):
+            _, d1, d2 = derivs(x)
+            step = np.divide(d1, d2, out=np.zeros_like(x), where=sign * d2 > 0.0)
+            x = np.clip(x - step, start - h, start + h)
+        out.append(sign * min(v.min(), (sign * derivs(x)[0]).min()))
+    return out[0], out[1]

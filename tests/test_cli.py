@@ -255,7 +255,18 @@ def test_config_missing_file(capsys):
     ("[sytem]\nsigma = 1\n", ["unknown section [sytem]"]),
     ("[run]\nn = abc\n", ["[run] n = 'abc'", "int"]),
     ("[system]\nsigma = one\n", ["[system] sigma = 'one'", "float"]),
-], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float"])
+    # out-of-range values, which flags and the file share one check for
+    ("[run]\nn = 0\n", ["n must be >= 1"]),
+    ("[run]\nbins = 0\n", ["bins must be >= 1"]),
+    ("[run]\nq = 0\n", ["q must be >= 1"]),
+    ("[run]\neps = -1\n", ["eps must be > 0"]),
+    ("[run]\nburn_in = -5\n", ["burn_in must be >= 0"]),
+    ("[tolerances]\nq_max = 0\n", ["q_max must be >= 1"]),
+    ("[tolerances]\nrho_tol = 0\n", ["rho_tol must be > 0"]),
+    ("[tolerances]\nresidual_tol = -1e-8\n", ["residual_tol must be > 0"]),
+], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float",
+        "n-zero", "bins-zero", "q-zero", "eps-negative", "burn-in-negative", "q-max-zero",
+        "rho-tol-zero", "residual-tol-negative"])
 def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(body)
@@ -264,6 +275,22 @@ def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, na
     assert code == 1 and not out
     for text in named:
         assert text in err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--n", "0", "n must be >= 1"),
+    ("--bins", "0", "bins must be >= 1"),
+    ("--q", "0", "q must be >= 1"),
+    ("--eps", "-1", "eps must be > 0"),
+    ("--burn-in", "-5", "burn_in must be >= 0"),
+    ("--tol", "0", "rho_tol must be > 0"),
+])
+def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, flag, value, named):
+    out_csv = tmp_path / "h.csv"
+    code, out, err = run_cli(capsys, "isi", "--sigma", "1", "--signal", "trig:2;1,0.5,0",
+                             "--n", "50", "--out", str(out_csv), flag, value)
+    assert code == 1 and not out and named in err
+    assert not out_csv.exists()
 
 
 def test_determinism(capsys, tmp_path):

@@ -59,6 +59,14 @@ def test_validate_rejects_high_harmonic_dip():
         validate(IFSystem(1.0, TrigPolynomial(2.0, [(4096, 1.5, 0.0)])))
 
 
+def test_validate_rejects_dip_in_the_shallower_grid_well():
+    # wells near t = 1/2 and t = 5/6 are level to 1e-6; t = 1/2 lies on the
+    # grid and wins there, but the true ess inf(f - sigma) near 5/6 is -4.66e-7
+    system = IFSystem(1.9999996, TrigPolynomial(3.0, [(1, 0.0, 1e-6), (3, 1.0, 0.0)]))
+    with pytest.raises(IllPosedError, match="-4.66"):
+        validate(system)
+
+
 def test_translation_firing_time():
     system = translation_lif(3)
     assert firing_time(system, 0.2) == pytest.approx(3.2, abs=1e-12)

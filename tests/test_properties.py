@@ -5,7 +5,8 @@ lift of a circle homeomorphism and every crossing is simple.  The leaky
 drives cover every signal kind; the batched map is also checked on perfect
 integrators (sigma = 0) with trigonometric drives.  Step-drive perfect
 integrators, zero steps included, must match the exact rational oracle of
-``helpers`` bit for bit.
+``helpers`` bit for bit.  The essential bounds of arbitrary trigonometric
+drives must match the extremum oracle of ``helpers`` to rounding.
 """
 
 import math
@@ -27,9 +28,15 @@ from firingmap import (
     firing_times,
     iterate,
     iterate_cumulative_pi,
+    parse_signal,
 )
 
-from helpers import half_on_half_off, pwc_crossing_oracle, pwc_integral_oracle
+from helpers import (
+    half_on_half_off,
+    pwc_crossing_oracle,
+    pwc_integral_oracle,
+    trig_extrema_oracle,
+)
 
 MARGIN = 0.2
 sigmas = st.floats(0.25, 3.0)
@@ -214,3 +221,32 @@ def test_pi_step_integral_matches_oracle(case, width):
     for b in (a + width, a + 1.0, 1e6):
         if b >= a:
             assert sig.integral(a, b) == float(pwc_integral_oracle(sig, a, b))
+
+
+# two nearly level wells: the grid's best point lies in the shallower one
+NEAR_LEVEL_WELLS = TrigPolynomial(3.0, [(1, 0.0, 1e-6), (3, 1.0, 0.0)])
+# a grid maximum in the wrong well, 3.2e-4 below the true maximum 11.85953417
+HIGH_HARMONICS = parse_signal(
+    "trig:7.597111468050278;8,-0.3829488895870716,-0.5948891385019035;"
+    "17,-0.17697387727276728,0.9678072570350138;24,0.6116001531870114,0.5883497403797692;"
+    "25,0.2136276032155486,0.6609100304325133;35,1.4476000014639705,-1.0648768888459912"
+)
+
+
+@st.composite
+def any_trig_drives(draw):
+    ks = draw(st.lists(st.integers(1, 24), min_size=1, max_size=5, unique=True))
+    amp = st.floats(-2.0, 2.0)
+    return TrigPolynomial(draw(st.floats(-3.0, 3.0)), [(k, draw(amp), draw(amp)) for k in ks])
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_trig_drives(), st.floats(0.0, 3.0))
+@example(NEAR_LEVEL_WELLS, 1.9999996)
+@example(HIGH_HARMONICS, 1.0)
+def test_trig_essential_bounds_match_oracle(sig, sigma):
+    lo, hi = trig_extrema_oracle(sig)
+    tol = 1e-13 * (abs(sig.a0) + sum(math.hypot(c, s) for _, c, s in sig.harmonics))
+    b = sig.essential_bounds(sigma)
+    assert b.lower == pytest.approx(lo - sigma, abs=tol)
+    assert b.upper == pytest.approx(hi, abs=tol)

@@ -52,7 +52,6 @@ from .isi import (
 )
 from .rotation import (
     LockingResult,
-    Method,
     RotationEstimate,
     ScanPoint,
     best_rational,
@@ -60,6 +59,7 @@ from .rotation import (
     estimate_conjugacy,
     pi_conjugacy,
     pi_rotation,
+    rotation_enclosure,
     rotation_number,
     staircase_scan,
 )
@@ -89,7 +89,6 @@ __all__ = [
     "IsiSeq",
     "LockedError",
     "LockingResult",
-    "Method",
     "NoConvergenceError",
     "NotDifferentiableError",
     "Orbit",
@@ -127,6 +126,7 @@ __all__ = [
     "pi_conjugacy",
     "pi_invariant_density",
     "pi_rotation",
+    "rotation_enclosure",
     "rotation_number",
     "signal_spec",
     "staircase_scan",

@@ -33,7 +33,7 @@ from .isi import (
     isi_sequence,
     perturbation_harness,
 )
-from .rotation import detect_locking, pi_rotation, rotation_number, staircase_scan
+from .rotation import detect_locking, pi_rotation, rotation_enclosure, staircase_scan
 from .signals import parse_signal
 
 
@@ -223,13 +223,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_rotation(cfg: RunConfig) -> int:
     system = _system_from(cfg, cfg.signal, cfg.sigma)
+    tols = {"q_max": cfg.q_max, "rho_tol": cfg.rho_tol, "residual_tol": cfg.residual_tol}
     if system.is_pi:
-        est = pi_rotation(system.signal)
+        est, locking = pi_rotation(system.signal), detect_locking(system, **tols)
     else:
-        est = rotation_number(system, cfg.t0, max(cfg.n, math.ceil(1.0 / cfg.rho_tol)))
-    locking = detect_locking(
-        system, q_max=cfg.q_max, rho_tol=cfg.rho_tol, residual_tol=cfg.residual_tol
-    )
+        est, locking = rotation_enclosure(system, cfg.t0, **tols)
     payload = {
         "rho": _jnum(est.value),
         "error_bound": _jnum(est.error_bound),
@@ -280,6 +278,8 @@ def cmd_scan(cfg: RunConfig) -> int:
 def cmd_isi(cfg: RunConfig) -> int:
     if cfg.out is None:
         raise UsageError("isi writes a histogram CSV and needs --out")
+    if cfg.n < 2:
+        raise UsageError(f"isi needs n >= 2 firing times, got {cfg.n}")
     system = _system_from(cfg, cfg.signal, cfg.sigma)
     orbit = iterate(system, cfg.t0, cfg.n)
     seq = isi_sequence(orbit)

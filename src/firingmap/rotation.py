@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .firing import (
     _RESIDUAL_TOL,
     IFSystem,
     Orbit,
+    Regime,
     _max_displacement,
     firing_time,
     firing_times,
@@ -31,19 +31,13 @@ from .firing import (
 from .signals import PeriodicSignal
 
 
-class Method(Enum):
-    ITERATE_BOUND = "iterate-bound"
-    PI_CLOSED_FORM = "pi-closed-form"
-
-
 @dataclass(frozen=True)
 class RotationEstimate:
     """A rotation-number value with a rigorous error bound."""
 
     value: float
     error_bound: float
-    n_iterates: int
-    method: Method
+    n_iterates: int  # length of the orbit behind it; 0 for a closed form
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ def _orbit_estimate(orbit: Orbit) -> RotationEstimate:
     """(t_n - t_0)/n of an n-spike orbit, with its bound 1/n."""
     n = len(orbit)
     value = (float(orbit.times[-1]) - orbit.t0) / n
-    return RotationEstimate(value, 1.0 / n, n, Method.ITERATE_BOUND)
+    return RotationEstimate(value, 1.0 / n, n)
 
 
 def pi_rotation(signal: PeriodicSignal) -> RotationEstimate:
@@ -103,7 +97,7 @@ def pi_rotation(signal: PeriodicSignal) -> RotationEstimate:
     if m <= 0.0:
         raise IllPosedError(f"mean input {m:.6g} <= 0; no rotation number")
     value = 1.0 / m
-    return RotationEstimate(value, 1e-14 * abs(value), 0, Method.PI_CLOSED_FORM)
+    return RotationEstimate(value, 1e-14 * abs(value), 0)
 
 
 def pi_conjugacy(signal: PeriodicSignal, t: float) -> float:
@@ -177,9 +171,10 @@ def _grid_test(system: IFSystem, p: int, q: int, residual_tol: float):
     """Phi^q - Id - p on a uniform grid of [0, 1), as q batched solves.
 
     Returns ``(side, margin, residual)``.  ``side`` is 0 at a sign change,
-    whose bracket is bisected for the smallest residual; +1 or -1 when the
-    grid's monotone bounds certify rho above or below p/q by ``margin``; 0
-    again when the smallest residual is below ``residual_tol``; else None.
+    whose bracket is bisected for the smallest residual (``margin`` > 0 when
+    the grid certifies both signs of a continuous Phi^q, proving a zero);
+    +1 or -1 when the grid's monotone bounds certify rho above or below p/q by
+    ``margin``; 0 again when the smallest residual is below ``residual_tol``; else None.
     """
     ts = np.linspace(0.0, 1.0, _GRID_SIZE, endpoint=False)
     phi_q = ts
@@ -187,6 +182,8 @@ def _grid_test(system: IFSystem, p: int, q: int, residual_tol: float):
         phi_q = firing_times(system, phi_q)
     vals = phi_q - ts - p
     residual = float(np.min(np.abs(vals)))
+    dmax = _max_displacement(system)
+    slack = _slack(q, 1.0 + q * dmax, dmax)
     flips = np.flatnonzero((vals == 0.0) | (vals * np.roll(vals, -1) < 0.0))
     if flips.size:
         lo = float(ts[flips[0]])
@@ -204,10 +201,9 @@ def _grid_test(system: IFSystem, p: int, q: int, residual_tol: float):
                 hi = mid
             if hi - lo < 1e-15:
                 break
-        return 0, 0.0, residual
+        both = min(float(np.max(vals)), -float(np.min(vals)))  # > slack: both signs shown
+        return 0, (both if system.regime is Regime.STRICT_LIF and both > slack else 0.0), residual
     above, below = _monotone_bounds(ts, vals)
-    dmax = _max_displacement(system)
-    slack = _slack(q, 1.0 + q * dmax, dmax)
     if above > slack:
         return 1, above, residual
     if below > slack:
@@ -232,20 +228,23 @@ def _certify(
     max_spikes: int,
     q_max: int,
     residual_tol: float,
-) -> LockingResult:
-    """Locking test from an orbit: its first 1024 spikes, doubled up to ``max_spikes``.
+    width: float = 0.0,
+) -> tuple[RotationEstimate, LockingResult]:
+    """Locking test and enclosure from an orbit's first 1024 spikes, doubled up to ``max_spikes``.
 
-    Walks the Stern-Brocot tree, from the integers next to the weighted
-    Birkhoff estimate of rho, down to Farey neighbours a/b < rho < c/d
-    with b + d > q_max.  Each mediant m/n is placed by the orbit's monotone
-    bounds (:func:`_monotone_bounds` on v_k = t_{k+n} - t_k - m at the
-    sorted phases), which must clear :func:`_slack`.  A mediant they leave
-    open gets :func:`_grid_test`: a zero witness ends the walk, certified
-    grid bounds continue it, and otherwise the orbit doubles, taking the
-    given orbit's further spikes before iterating new ones.  The result is
-    ``undecided`` at ``max_spikes``, or once the orbit has settled: when two
-    of its phases lie within one step's error allowance, further spikes add
-    no phases the orbit has not already placed.
+    Walks the Stern-Brocot tree, from the integers next to the weighted Birkhoff
+    estimate of rho, down to Farey neighbours a/b < rho < c/d with b + d > q_max.
+    Each mediant m/n is placed by the orbit's monotone bounds (:func:`_monotone_bounds`
+    on v_k = t_{k+n} - t_k - m at the sorted phases), which must clear :func:`_slack`.
+    A mediant they leave open gets :func:`_grid_test`: a zero witness ends the walk,
+    certified grid bounds continue it, and otherwise the orbit doubles, taking the given
+    orbit's further spikes before iterating new ones.  The result is ``undecided`` at
+    ``max_spikes``, or once the orbit has settled: when two of its phases lie within one
+    step's error allowance, further spikes add no phases the orbit has not already placed.
+
+    With ``width > 0`` the walk goes on past that result, by the orbit's bounds alone, until
+    the bracket's half-width is at most ``width``; a run of mediants on one side gallops
+    (2, 4, ... steps per trial, halved on a miss).  Returns the estimate and the result.
     """
     later = orbit.times  # spikes 1, 2, ... available for doubling
     dmax = _max_displacement(system)
@@ -254,7 +253,8 @@ def _certify(
     times = np.concatenate([[orbit.t0], later[:spikes]])
     rho = _weighted_mean(np.diff(times))
     m, n = math.floor(rho), 1
-    order, gridded = None, False
+    order, gridded, result = None, False, None
+    run, stride = 0, 1  # side of the last placement; mediant steps per trial past the result
     while True:
         if order is None:
             phases = times - np.floor(times)
@@ -271,16 +271,26 @@ def _certify(
                 side, margin = 1, above
             elif below > slack:
                 side, margin = -1, below
-        if side is None and not gridded:
+        if side is None and result is None and not gridded:
             gridded = True
             side, margin, residual = _grid_test(system, m, n, residual_tol)
             if side == 0:  # a sign change without a zero is a jump of Phi^q: undecided
-                return LockingResult(residual < residual_tol, m, n, residual)
-        if side is None:
-            s = phases[order]
-            settled = np.min(np.diff(s, append=s[0] + 1.0)) <= _slack(1, t_max, dmax)
-            if spikes >= max_spikes or settled:
-                return LockingResult(False, m, n, residual, "undecided")
+                result = LockingResult(residual < residual_tol, m, n, residual)
+                if result.locked and margin > 0.0:  # a proof: rho = m/n
+                    lo = hi = (m, n)
+                    break
+                if not width:
+                    break
+        if stride > 1 and side != run:  # the stride overshot: retry with half of it
+            stride //= 2
+        elif not side:  # not placed, or locked without a proof
+            if result is None:
+                s = phases[order]
+                settled = np.min(np.diff(s, append=s[0] + 1.0)) <= _slack(1, t_max, dmax)
+                if spikes >= max_spikes or settled:
+                    result = LockingResult(False, m, n, residual, "undecided")
+            if result is not None and (spikes >= max_spikes or not width):
+                break
             spikes = min(2 * spikes, max_spikes)
             if spikes > later.size:
                 more = iterate(system, float(later[-1]), spikes - later.size)
@@ -288,22 +298,34 @@ def _certify(
             times = np.concatenate([[orbit.t0], later[:spikes]])
             rho, order = _weighted_mean(np.diff(times)), None
             continue
-        if side > 0:
-            lo = (m, n, margin, residual)
         else:
-            hi = (m, n, margin, residual)
-        if lo is None:
-            m, n = hi[0] - 1, 1
-        elif hi is None:
-            m, n = lo[0] + 1, 1
-        elif lo[1] + hi[1] <= q_max:
-            m, n = lo[0] + hi[0], lo[1] + hi[1]
+            if side > 0:
+                lo = (m, n, margin, residual)
+            else:
+                hi = (m, n, margin, residual)
+            if result is not None:
+                stride = 2 * stride if side == run else 1
+            run, gridded = side, False
+            if lo is not None and hi is not None:
+                if result is None and lo[1] + hi[1] > q_max:
+                    # the fraction with q <= q_max nearest the estimate is one of the two ends
+                    near = lo if rho - lo[0] / lo[1] <= hi[0] / hi[1] - rho else hi
+                    p, q, margin, residual = near
+                    result = LockingResult(False, p, q, residual, "unlocked", margin)
+                # Farey neighbours: the bracket's half-width is 1/(2 b d)
+                if result is not None and (not width or 2.0 * width * lo[1] * hi[1] >= 1.0):
+                    break
+        # next: an integer beside the end certified, or stride mediant steps from the last moved
+        if lo is None or hi is None:
+            m, n = (hi[0] - 1, 1) if lo is None else (lo[0] + 1, 1)
         else:
-            break
-        gridded = False
-    # the fraction with q <= q_max nearest the estimate is one of the two ends
-    p, q, margin, residual = lo if rho - lo[0] / lo[1] <= hi[0] / hi[1] - rho else hi
-    return LockingResult(False, p, q, residual, "unlocked", margin)
+            wl, wh = (1, stride) if run > 0 else (stride, 1)
+            m, n = wl * lo[0] + wh * hi[0], wl * lo[1] + wh * hi[1]
+    value, r = (times[-1] - times[0]) / spikes, 1.0 / spikes
+    a = value - r if lo is None else max(value - r, lo[0] / lo[1])
+    c = value + r if hi is None else min(value + r, hi[0] / hi[1])
+    # the interval lies inside value +- r; the min drops the rounding of c - a
+    return RotationEstimate(0.5 * (a + c), min(0.5 * (c - a), r), spikes), result
 
 
 def detect_locking(
@@ -338,7 +360,28 @@ def detect_locking(
     """
     max_spikes = max(1, math.ceil(1.0 / rho_tol))
     orbit = iterate(system, 0.0, min(_ORBIT_SPIKES, max_spikes))
-    return _certify(system, orbit, max_spikes, q_max, residual_tol)
+    return _certify(system, orbit, max_spikes, q_max, residual_tol)[1]
+
+
+def rotation_enclosure(
+    system: IFSystem,
+    t0: float = 0.0,
+    q_max: int = 64,
+    rho_tol: float = 1e-6,
+    residual_tol: float = 1e-8,
+) -> tuple[RotationEstimate, LockingResult]:
+    """Certified rotation-number interval and locking test from one orbit started at t0.
+
+    The walk of :func:`detect_locking` (whose result it gives from t0 = 0) goes on past
+    q_max until the Farey bracket a/b < rho < c/d has half-width at most ``rho_tol``,
+    doubling the orbit up to ``ceil(1/rho_tol)`` spikes.  The estimate is the midpoint and
+    half-width of that bracket intersected with the orbit's (t_n - t_0)/n +- 1/n, so
+    ``error_bound <= rho_tol``; or p/q with bound 0 when a grid sign change of the
+    continuous Phi^q - Id - p proves a periodic orbit.
+    """
+    max_spikes = max(1, math.ceil(1.0 / rho_tol))
+    orbit = iterate(system, t0, min(_ORBIT_SPIKES, max_spikes))
+    return _certify(system, orbit, max_spikes, q_max, residual_tol, rho_tol)
 
 
 @dataclass(frozen=True)
@@ -369,7 +412,7 @@ def staircase_scan(
         try:
             system = family(float(param))
             orbit = iterate(system, t0, n)
-            locking = _certify(system, orbit, n, q_max, residual_tol)
+            locking = _certify(system, orbit, n, q_max, residual_tol)[1]
             out.append(ScanPoint(float(param), _orbit_estimate(orbit), locking))
         except FiringMapError as exc:
             out.append(ScanPoint(float(param), None, None, error=str(exc)))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import firingmap.rotation as rotation
 from firingmap import IFSystem, PiecewiseConstant, TrigPolynomial, constant
 
 # golden-mean-squared mean level: PI rotation number 2 - golden ratio,
@@ -36,6 +37,19 @@ def cosine_lif(beta: float) -> IFSystem:
 def golden_pi(amp: float = 0.5) -> IFSystem:
     """Perfect integrator with irrational rotation number 1/GOLDEN_A0."""
     return IFSystem(0.0, TrigPolynomial(GOLDEN_A0, [(1, amp, 0.0)]))
+
+
+def count_rotation_spikes(monkeypatch):
+    """Record the length of every orbit that ``firingmap.rotation`` iterates."""
+    spikes = []
+    iterate = rotation.iterate
+
+    def counting(system, t0, n):
+        spikes.append(n)
+        return iterate(system, t0, n)
+
+    monkeypatch.setattr(rotation, "iterate", counting)
+    return spikes
 
 
 # a parameter value verified (by rotation estimates and a periodic-orbit

@@ -5,6 +5,8 @@ import pytest
 
 from firingmap.cli import main
 
+from helpers import count_rotation_spikes
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -94,10 +96,42 @@ def test_rotation_json_status_and_margin(capsys):
     assert list(payload) == [
         "rho", "error_bound", "locked", "p", "q", "residual", "status", "margin"
     ]
-    # the 1e4-spike orbit itself certifies log 2 between Farey neighbours
-    assert payload["error_bound"] == 1e-4
+    # the certified interval holds log 2 and is no wider than asked
+    assert payload["error_bound"] <= 1e-4
+    assert abs(payload["rho"] - math.log(2.0)) <= payload["error_bound"]
     assert payload["status"] == "unlocked"
     assert 0 < payload["margin"] <= payload["residual"]
+
+
+@pytest.mark.parametrize("signal, rho", [
+    ("trig:2;1,0.86,0", 0.7),  # locked 7/10, witnessed by a sign change: rho exact
+    ("trig:2;1,0.5,0", None),  # quasi-periodic
+])
+def test_rotation_default_tol_spends_few_spikes(capsys, monkeypatch, signal, rho):
+    spikes = count_rotation_spikes(monkeypatch)
+    code, out, _ = run_cli(capsys, "rotation", "--sigma", "1", "--signal", signal)
+    assert code == 0
+    payload = json.loads(out)
+    assert sum(spikes) <= 16_384
+    assert payload["error_bound"] <= 1e-6
+    if rho is not None:
+        assert payload["rho"] == rho and payload["error_bound"] == 0.0
+
+
+def test_rotation_spikes_capped_by_tol(capsys, monkeypatch):
+    # a translation by 3: Phi^1 - Id - 3 vanishes to rounding, so no mediant
+    # past 3/1 can be placed and no sign change proves the lock; the orbit
+    # doubles to the cap, whose 1/n interval gives the bound
+    spikes = count_rotation_spikes(monkeypatch)
+    c = 1.0 / (1.0 - math.exp(-3))
+    code, out, _ = run_cli(capsys, "rotation", "--sigma", "1", "--signal", f"const:{c!r}",
+                           "--tol", "3e-4")
+    assert code == 0
+    payload = json.loads(out)
+    assert sum(spikes) == math.ceil(1.0 / 3e-4)
+    assert payload["status"] == "locked" and (payload["p"], payload["q"]) == (3, 1)
+    assert 0.0 < payload["error_bound"] <= 3e-4
+    assert abs(payload["rho"] - 3.0) <= payload["error_bound"]
 
 
 def test_scan_rows_and_error_column(capsys, tmp_path):
@@ -290,6 +324,18 @@ def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, flag, value, name
     code, out, err = run_cli(capsys, "isi", "--sigma", "1", "--signal", "trig:2;1,0.5,0",
                              "--n", "50", "--out", str(out_csv), flag, value)
     assert code == 1 and not out and named in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_isi_needs_two_spikes(capsys, tmp_path, source):
+    out_csv, cfg = tmp_path / "h.csv", tmp_path / "run.ini"
+    cfg.write_text("[run]\nn = 1\n")
+    n_args = ["--n", "1"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "isi", "--sigma", "1", "--signal", "trig:2;1,0.5,0",
+                             "--out", str(out_csv), *n_args)
+    assert code == 1 and not out
+    assert "n >= 2" in err and "got 1" in err
     assert not out_csv.exists()
 
 

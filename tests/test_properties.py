@@ -29,6 +29,9 @@ from firingmap import (
     iterate,
     iterate_cumulative_pi,
     parse_signal,
+    pi_rotation,
+    rotation_enclosure,
+    rotation_number,
 )
 
 from helpers import (
@@ -131,6 +134,32 @@ def test_locking_status_holds_on_independent_grid(system):
         assert np.min(np.abs(g)) >= res.margin - res.q * 1e-12
     elif res.status == "locked":
         assert flips or res.residual < 1e-8
+
+
+ENCLOSURE_TOL = 1e-5  # caps an enclosure orbit at 1e5 spikes
+
+
+def _enclosure_interval(system):
+    est, _ = rotation_enclosure(system, rho_tol=ENCLOSURE_TOL)
+    assert est.error_bound <= ENCLOSURE_TOL
+    return est.value - est.error_bound, est.value + est.error_bound
+
+
+@settings(max_examples=10, deadline=None)
+@given(trig_drives(0.0))
+def test_rotation_enclosure_contains_pi_rotation(sig):
+    lo, hi = _enclosure_interval(IFSystem(0.0, sig))
+    exact = pi_rotation(sig)
+    assert lo - exact.error_bound <= exact.value <= hi + exact.error_bound
+
+
+@settings(max_examples=5, deadline=None)
+@given(sigmas.flatmap(lambda sigma: st.sampled_from([trig_drives, step_drives]).flatmap(
+    lambda kind: kind(sigma)).map(lambda sig: IFSystem(sigma, sig))), st.floats(0.1, 0.9))
+def test_rotation_enclosure_meets_long_orbit_interval(system, t0):
+    lo, hi = _enclosure_interval(system)
+    other = rotation_number(system, t0, 100_000)  # an independent orbit, bound 1e-5
+    assert lo <= other.value + other.error_bound and other.value - other.error_bound <= hi
 
 
 def _mp_sampled_weighted(values, sigma, t, delta):

@@ -8,7 +8,6 @@ from firingmap import (
     IFSystem,
     IllPosedError,
     LockedError,
-    Method,
     TrigPolynomial,
     best_rational,
     constant,
@@ -16,9 +15,9 @@ from firingmap import (
     estimate_conjugacy,
     firing_time,
     firing_times,
-    iterate,
     pi_conjugacy,
     pi_rotation,
+    rotation_enclosure,
     rotation_number,
     staircase_scan,
 )
@@ -27,6 +26,7 @@ from helpers import (
     BETA_LOCKED_7_10,
     GOLDEN_A0,
     cosine_lif,
+    count_rotation_spikes,
     golden_pi,
     half_on_half_off,
     translation_lif,
@@ -37,7 +37,7 @@ def test_rotation_number_constant_lif():
     est = rotation_number(IFSystem(1.0, constant(2.0)), 0.0, 100)
     assert est.value == pytest.approx(math.log(2.0), abs=0.01)
     assert est.error_bound == 0.01
-    assert est.method is Method.ITERATE_BOUND
+    assert est.n_iterates == 100
 
 
 def test_rotation_number_translation_is_exact():
@@ -49,7 +49,7 @@ def test_pi_rotation_examples():
     assert pi_rotation(TrigPolynomial(2.0, [(1, 1.0, 0.0)])).value == 0.5
     assert pi_rotation(half_on_half_off()).value == 1.0
     assert pi_rotation(constant(2.5)).value == pytest.approx(0.4, abs=1e-15)
-    assert pi_rotation(constant(2.5)).method is Method.PI_CLOSED_FORM
+    assert pi_rotation(constant(2.5)).n_iterates == 0
 
 
 def test_pi_rotation_rejects_nonpositive_mean():
@@ -158,17 +158,6 @@ def test_tongue_edges_never_locked_on_residual_alone(beta):
         assert np.any(g * np.roll(g, -1) <= 0.0)
 
 
-def _count_spikes(monkeypatch):
-    spikes = []
-
-    def counting(system, t0, n):
-        spikes.append(n)
-        return iterate(system, t0, n)
-
-    monkeypatch.setattr(rotation, "iterate", counting)
-    return spikes
-
-
 def _never_decide(monkeypatch):
     monkeypatch.setattr(rotation, "_grid_test", lambda *a: (None, 0.0, 1.0))
 
@@ -179,7 +168,7 @@ def test_detect_locking_spikes_capped_by_rho_tol(monkeypatch, rho_tol):
     # open; the quasi-periodic orbit never settles, so it doubles until the cap
     _never_decide(monkeypatch)
     monkeypatch.setattr(rotation, "_monotone_bounds", lambda s, v: (-1.0, -1.0))
-    spikes = _count_spikes(monkeypatch)
+    spikes = count_rotation_spikes(monkeypatch)
     res = detect_locking(cosine_lif(0.25), rho_tol=rho_tol)
     assert res.status == "undecided" and not res.locked
     assert res.q == 1
@@ -190,7 +179,7 @@ def test_detect_locking_settled_orbit_stops_early(monkeypatch):
     # a grid that never decides leaves the 7/10 mediant of a locked system
     # open; its orbit has settled on the 10-cycle, so doubling adds nothing
     _never_decide(monkeypatch)
-    spikes = _count_spikes(monkeypatch)
+    spikes = count_rotation_spikes(monkeypatch)
     res = detect_locking(cosine_lif(BETA_LOCKED_7_10), rho_tol=3e-4)
     assert res.status == "undecided" and not res.locked
     assert (res.p, res.q) == (7, 10)
@@ -210,21 +199,46 @@ def test_detect_locking_certifies_pi_unlocked(system):
 def test_detect_locking_pi_rational_beyond_q_max_is_undecided(monkeypatch):
     # rho is about 50/67: no fraction with q <= 64 is it, but the orbit locks
     # onto a 67-cycle that neither the orbit nor the grid can place
-    spikes = _count_spikes(monkeypatch)
+    spikes = count_rotation_spikes(monkeypatch)
     res = detect_locking(IFSystem(0.0, TrigPolynomial(1.34, [(1, 0.5, 0.0)])))
     assert res.status == "undecided"
     assert sum(spikes) <= 2048
 
 
 def test_detect_locking_certifies_from_a_short_orbit(monkeypatch):
-    spikes = _count_spikes(monkeypatch)
+    spikes = count_rotation_spikes(monkeypatch)
     res = detect_locking(cosine_lif(0.25))
     assert res.status == "unlocked"
     assert sum(spikes) <= 4096
 
 
+@pytest.mark.parametrize("system", [cosine_lif(0.25), cosine_lif(BETA_LOCKED_7_10), golden_pi()],
+                         ids=["quasi", "locked", "golden-pi"])
+def test_rotation_enclosure_from_zero_gives_detect_locking(system):
+    est, res = rotation_enclosure(system)
+    assert res == detect_locking(system)
+    assert est.error_bound <= 1e-6
+    if res.locked:  # proved by a sign change of Phi^10 - Id - 7 on the grid
+        assert (est.value, est.error_bound) == (0.7, 0.0)
+
+
+def test_rotation_enclosure_gallops_near_a_rational(monkeypatch):
+    # a rigid rotation by rho = 1.0003 (a constant drive, so rho is known in closed
+    # form): past q_max the walk meets the mediants (k + 1)/k above rho for k up to
+    # about 3,300; trying 2, 4, ... of them at once places them in about 100 tests,
+    # where one at a time takes about 3,300
+    f = 1.0 / (1.0 - math.exp(-1.0003))
+    tests = []
+    bounds = rotation._monotone_bounds
+    monkeypatch.setattr(rotation, "_monotone_bounds", lambda s, v: tests.append(1) or bounds(s, v))
+    est, res = rotation_enclosure(IFSystem(1.0, constant(f)), rho_tol=1e-5)
+    assert res.status == "unlocked"
+    assert abs(est.value - math.log(f / (f - 1.0))) <= est.error_bound <= 1e-5
+    assert len(tests) <= 200
+
+
 def test_staircase_runs_one_orbit_per_param(monkeypatch):
-    spikes = _count_spikes(monkeypatch)
+    spikes = count_rotation_spikes(monkeypatch)
     points = staircase_scan(cosine_lif, [0.25, BETA_LOCKED_7_10], n=3000)
     assert spikes == [3000, 3000]
     assert [pt.locking.status for pt in points] == ["unlocked", "locked"]

@@ -34,7 +34,6 @@ from .firing import (
 )
 from .isi import (
     DensityCurve,
-    Displacement,
     EmpiricalDist,
     IsiSeq,
     PerturbationReport,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CriticalValueError",
     "DensityCurve",
-    "Displacement",
     "EmpiricalDist",
     "EssentialBounds",
     "FiringMapError",

@@ -25,12 +25,20 @@ on a whole grid of start times.  The one exception is a piecewise-constant
 drive with sigma = 0, whose crossings are found exactly, one lookup each, in
 the signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
 
+Every one-step scalar solve starts from the displacement Psi = Phi - Id,
+which is 1-periodic: the cubic Hermite interpolant at t mod 1 of a table of
+Psi and Psi' on the grid j/1024, built once per system by one batched solve
+(:func:`_psi_table`).  The table only supplies the start; the solver's own
+tests accept the answer.  An orbit step therefore equals the cold solve
+:func:`firing_time` from the previous spike, bit for bit.
+
 Firing times are absolute; nothing here reduces orbits mod 1.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -48,6 +56,7 @@ from .signals import (
 _STRICT_TOL = 1e-9  # ess inf(f - sigma) must clear this to count as strict
 _RESIDUAL_TOL = 1e-13  # scaled threshold-equation residual at convergence
 _MAX_ITER = 200
+_PSI_GRID = 1024  # cells of the warm-start table of Psi over one period
 
 
 class Regime(Enum):
@@ -69,6 +78,7 @@ class IFSystem:
         self.signal = signal
         self._bounds: EssentialBounds | None = None
         self._regime: Regime | None = None
+        self._psi: tuple | None = None  # see _psi_table
 
     def __repr__(self):
         return f"IFSystem(sigma={self.sigma!r}, signal={self.signal!r})"
@@ -306,6 +316,41 @@ def _zero_run_start(sig: Sampled, x: float, g_at) -> float:
     return node if abs(g_at(node)) <= _RESIDUAL_TOL else x
 
 
+def _psi_table(system: IFSystem) -> tuple:
+    """(Psi, Psi') on the grid j/_PSI_GRID, j = 0.._PSI_GRID, as warm starts only.
+
+    Built on first use by one batched solve; Psi' = f(t)/(f(Phi) - sigma) e^{-sigma Psi}
+    - 1 is set to 0 where not finite (f(Phi) = 0, a step drive's jump).  Empty when
+    the batched solve fails: scalar solves then start cold and name their own t.
+    """
+    if system._psi is None:
+        sig, sigma = system.signal, system.sigma
+        kern = sig.kernel_array(sigma)
+        ts = np.arange(_PSI_GRID + 1) / _PSI_GRID
+        try:
+            psi = _newton_batch(kern, sigma, sig.mean(), ts, kern(ts)[0], _max_displacement(system))
+        except NoConvergenceError:
+            system._psi = ()
+            return ()
+        f = sig.eval_array
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dpsi = f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
+        dpsi[~np.isfinite(dpsi)] = 0.0
+        system._psi = array("d", psi.tobytes()), array("d", dpsi.tobytes())
+    return system._psi
+
+
+def _psi_start(table: tuple, t: float) -> float:
+    """Cubic Hermite interpolant of the Psi table at t mod 1."""
+    psi, dpsi = table
+    x = t % 1.0 * _PSI_GRID
+    # t % 1.0 is 1.0 for tiny negative t; a nan start is discarded by the solver
+    j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
+    s, y0, dy = x - j, psi[j], psi[j + 1] - psi[j]
+    m0, m1 = dpsi[j] / _PSI_GRID, dpsi[j + 1] / _PSI_GRID
+    return y0 + s * (m0 + s * (3.0 * dy - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * dy)))
+
+
 def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) -> np.ndarray:
     """n firing times from t0: the orbit, or with ``cumulative`` the crossings
     of the thresholds 1..n by the input integrated from t0 (sigma = 0)."""
@@ -322,12 +367,15 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
         return times
     kern, mean = sig.kernel(sigma), sig.mean()
     snap = isinstance(sig, Sampled) and sigma == 0.0
+    table = () if cumulative else _psi_table(system)
     t, q0 = t0, kern(t0)[0]
     dmax, threshold, d = _max_displacement(system), 1.0, None
     for i in range(n):
         if cumulative:
             threshold = float(i + 1)
             dmax = _max_displacement(system, threshold)
+        else:
+            d = _psi_start(table, t) if table else None
         d, q1 = _newton_step(kern, sigma, mean, t, q0, threshold, dmax, d)
         x = t + d
         if snap:
@@ -396,8 +444,12 @@ def firing_times(system: IFSystem, ts) -> np.ndarray:
     return _firing_batch(system, ts.ravel()).reshape(ts.shape)
 
 
-def displacement(system: IFSystem, t: float) -> float:
-    """Phi(t) - t; 1-periodic in t, its values are the interspike intervals."""
+def displacement(system: IFSystem, t):
+    """Psi(t) = Phi(t) - t, 1-periodic, whose values are the interspike intervals:
+    one scalar solve for a float t, one :func:`firing_times` call for an array."""
+    if np.ndim(t):
+        ts = np.asarray(t, dtype=float)
+        return firing_times(system, ts) - ts
     return firing_time(system, t) - t
 
 

@@ -29,6 +29,7 @@ from .firing import (
     Regime,
     _firing_batch,
     _slope,
+    displacement,
     firing_time,
     firing_times,
     iterate,
@@ -46,26 +47,6 @@ class IsiSeq:
 
     def __len__(self):
         return len(self.values)
-
-
-class Displacement:
-    """The displacement function Psi(t) = Phi(t) - t of a system.
-
-    1-periodic; continuous in the strict regime.  Its range is the support
-    of the ISI distribution and its level sets drive the density formula.
-    """
-
-    def __init__(self, system: IFSystem):
-        system.regime  # validate
-        self.system = system
-
-    def __call__(self, t: float) -> float:
-        return firing_time(self.system, t) - t
-
-    def on_grid(self, ts: np.ndarray) -> np.ndarray:
-        """Psi at every point of ts, as one batched solve."""
-        ts = np.asarray(ts, dtype=float)
-        return firing_times(self.system, ts) - ts
 
 
 def isi_sequence(orbit: Orbit) -> IsiSeq:
@@ -269,21 +250,20 @@ def displacement_range(system: IFSystem, grid_size: int = 512) -> tuple[float, f
     Grid scan refined by golden-section search around the grid extrema.
     """
     ts = np.arange(grid_size) / grid_size
-    return _psi_extrema(system, ts, Displacement(system).on_grid(ts))
+    return _psi_extrema(system, ts, displacement(system, ts))
 
 
 def _psi_extrema(system: IFSystem, ts: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
     """:func:`displacement_range` from Psi on the uniform grid ts of [0, 1)."""
     if system.regime is not Regime.STRICT_LIF:
         raise ValueError("displacement_range requires the strict regime")
-    psi_at = Displacement(system)
     h = 1.0 / ts.size
     i_lo = int(np.argmin(psi))
     i_hi = int(np.argmax(psi))
-    t_lo = _golden_min(psi_at, float(ts[i_lo]) - h, float(ts[i_lo]) + h)
-    t_hi = _golden_min(lambda t: -psi_at(t), float(ts[i_hi]) - h, float(ts[i_hi]) + h)
-    lo = min(float(psi[i_lo]), psi_at(t_lo))
-    hi = max(float(psi[i_hi]), psi_at(t_hi))
+    t_lo = _golden_min(lambda t: displacement(system, t), float(ts[i_lo]) - h, float(ts[i_lo]) + h)
+    t_hi = _golden_min(lambda t: -displacement(system, t), float(ts[i_hi]) - h, float(ts[i_hi]) + h)
+    lo = min(float(psi[i_lo]), displacement(system, t_lo))
+    hi = max(float(psi[i_hi]), displacement(system, t_hi))
     return lo, hi
 
 
@@ -392,9 +372,8 @@ def isi_density_pi(
         )
     mean = signal.mean()
 
-    psi_at = Displacement(system)
     ts = np.linspace(0.0, 1.0, root_grid_size + 1)
-    psi_grid = psi_at.on_grid(ts)
+    psi_grid = displacement(system, ts)
     lo, hi = _psi_extrema(system, ts[:-1], psi_grid[:-1])
     width = hi - lo
     if width <= 0.0:
@@ -406,11 +385,11 @@ def isi_density_pi(
     for i in range(root_grid_size):
         if dpsi[i] == 0.0 or dpsi[i] * dpsi[i + 1] < 0.0:
             tc = _golden_min(
-                lambda t: abs(signal.eval(t) / signal.eval(t + psi_at(t)) - 1.0),
+                lambda t: abs(signal.eval(t) / signal.eval(t + displacement(system, t)) - 1.0),
                 float(ts[i]),
                 float(ts[i + 1]),
             )
-            crit_vals.append(psi_at(tc))
+            crit_vals.append(displacement(system, tc))
     crit_vals = np.array(sorted(set(crit_vals)))
 
     if y_grid is None:

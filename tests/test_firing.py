@@ -248,9 +248,7 @@ def test_warm_orbit_matches_cold_firing_time():
     orbit = iterate(system, 0.2, 2000)
     for i in (0, 500, 1999):
         t_prev = 0.2 if i == 0 else float(orbit.times[i - 1])
-        assert firing_time(system, t_prev) == pytest.approx(
-            float(orbit.times[i]), abs=1e-10
-        )
+        assert firing_time(system, t_prev) == float(orbit.times[i])
 
 
 def test_pi_left_continuity_at_jump():
@@ -361,9 +359,7 @@ def test_warm_orbit_with_sine_harmonics():
         orbit = iterate(system, 0.17, 400)
         for i in (0, 37, 200, 399):
             t_prev = 0.17 if i == 0 else float(orbit.times[i - 1])
-            assert firing_time(system, t_prev) == pytest.approx(
-                float(orbit.times[i]), abs=1e-11
-            )
+            assert firing_time(system, t_prev) == float(orbit.times[i])
         res = sig.weighted_integral_scaled(
             sigma, float(orbit.times[-2]), float(orbit.times[-1] - orbit.times[-2])
         )
@@ -404,3 +400,31 @@ def test_pwc_walk_no_convergence_names_t_bracket_and_residual():
     with pytest.raises(NoConvergenceError) as err:
         firing_time(IFSystem(0.0, sig), 0.25)
     assert "after t=0.25: bracket [9.0, 10.0], residual -2.500e-02" in str(err.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IFSystem(1.0, TrigPolynomial(2.0, [(1, 0.5, 0.0)])),
+    lambda: IFSystem(0.0, TrigPolynomial(2.6, [(1, 0.5, 0.3)])),
+    lambda: IFSystem(1.0, PiecewiseConstant([0.0, 0.3, 0.7], [3.0, 1.5, 2.2])),
+    lambda: IFSystem(1.0, Sampled(2.0 + 0.8 * np.sin(2 * np.pi * np.arange(48) / 48))),
+], ids=["trig-lif", "trig-strict-pi", "step-lif", "sampled-lif"])
+def test_orbit_warm_start_table_saves_kernel_evaluations(make):
+    # the orbit starts each solve from the cached table of Psi: few kernel
+    # evaluations per spike, and the table is built once, by the first solve
+    system = make()
+    sig, sigma = system.signal, system.sigma
+    validate(system)
+    assert system._psi is None
+    kern, calls = sig.kernel(sigma), [0]
+
+    def counted(x):
+        calls[0] += 1
+        return kern(x)
+
+    sig._kernels[sigma] = counted
+    iterate(system, 0.1, 5000)
+    table = system._psi
+    assert len(table) == 2
+    assert calls[0] <= 2.5 * 5000
+    iterate(system, 0.4, 10)
+    assert system._psi is table

@@ -291,13 +291,15 @@ def test_golden_mean_not_locked_sanity():
     assert abs(1.0 / GOLDEN_A0 - (2.0 - (1 + math.sqrt(5)) / 2)) < 1e-15
 
 
-def test_displacement_object():
-    from firingmap import Displacement
+def test_displacement_scalar_and_grid():
+    from firingmap import displacement
 
-    psi = Displacement(cosine_lif(0.25))
-    assert psi(0.3) == pytest.approx(psi(1.3), abs=1e-12)
-    grid = psi.on_grid(np.linspace(0, 1, 9))
+    system = cosine_lif(0.25)
+    assert displacement(system, 0.3) == pytest.approx(displacement(system, 1.3), abs=1e-12)
+    ts = np.linspace(0, 1, 9)
+    grid = displacement(system, ts)
     assert grid.shape == (9,)
+    assert grid.tolist() == pytest.approx([displacement(system, t) for t in ts.tolist()], abs=1e-12)
     assert np.all(grid > 0)
 
 

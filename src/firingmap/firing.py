@@ -319,30 +319,30 @@ def _zero_run_start(sig: Sampled, x: float, g_at) -> float:
 def _psi_table(system: IFSystem) -> tuple:
     """(Psi, Psi') on the grid j/_PSI_GRID, j = 0.._PSI_GRID, as warm starts only.
 
-    Built on first use by one batched solve; Psi' = f(t)/(f(Phi) - sigma) e^{-sigma Psi}
-    - 1 is set to 0 where not finite (f(Phi) = 0, a step drive's jump).  Empty when
-    the batched solve fails: scalar solves then start cold and name their own t.
+    Built on first use by one batched solve.  Psi' = Phi' - 1 comes from
+    :func:`_slope`'s formula and is 0 where not finite (f(Phi) = 0, a jump).
+    Empty when that solve fails: scalar solves then start cold, each naming its own t.
     """
     if system._psi is None:
         sig, sigma = system.signal, system.sigma
-        kern = sig.kernel_array(sigma)
+        kern, f = sig.kernel_array(sigma), sig.eval_array
         ts = np.arange(_PSI_GRID + 1) / _PSI_GRID
-        try:
-            psi = _newton_batch(kern, sigma, sig.mean(), ts, kern(ts)[0], _max_displacement(system))
-        except NoConvergenceError:
-            system._psi = ()
-            return ()
-        f = sig.eval_array
+        # a far bracket end overflows exp(sigma*d) to inf, which the solver handles
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            try:
+                psi = _newton_batch(kern, sigma, sig.mean(), ts, kern(ts)[0],
+                                    _max_displacement(system))
+            except NoConvergenceError:
+                system._psi = ()
+                return ()
             dpsi = f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
         dpsi[~np.isfinite(dpsi)] = 0.0
         system._psi = array("d", psi.tobytes()), array("d", dpsi.tobytes())
     return system._psi
 
 
-def _psi_start(table: tuple, t: float) -> float:
-    """Cubic Hermite interpolant of the Psi table at t mod 1."""
-    psi, dpsi = table
+def _psi_start(psi: array, dpsi: array, t: float) -> float:
+    """Cubic Hermite interpolant at t mod 1 of the table (Psi, Psi') of :func:`_psi_table`."""
     x = t % 1.0 * _PSI_GRID
     # t % 1.0 is 1.0 for tiny negative t; a nan start is discarded by the solver
     j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
@@ -375,7 +375,7 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
             threshold = float(i + 1)
             dmax = _max_displacement(system, threshold)
         else:
-            d = _psi_start(table, t) if table else None
+            d = _psi_start(*table, t) if table else None
         d, q1 = _newton_step(kern, sigma, mean, t, q0, threshold, dmax, d)
         x = t + d
         if snap:

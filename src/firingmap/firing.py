@@ -16,14 +16,24 @@ t.  Two regimes are supported:
 * nonnegative perfect integrator: sigma = 0 with f >= 0 a.e. and positive
   mean, where the map is non-decreasing and left continuous but may jump.
 
-One solver, :func:`_newton_step`, finds every crossing: a warm-startable
-safeguarded Newton iteration on the signal's periodic antiderivative
-(:meth:`PeriodicSignal.kernel`), used by :func:`firing_time`,
-:func:`iterate` and :func:`iterate_cumulative_pi`.  Its lane-wise copy on
-numpy arrays, :func:`_newton_batch`, serves :func:`firing_times`, the map
-on a whole grid of start times.  The one exception is a piecewise-constant
-drive with sigma = 0, whose crossings are found exactly, one lookup each, in
-the signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
+One solver loop, in :func:`_crossings`, finds every scalar crossing: a
+warm-started safeguarded Newton iteration on the signal's periodic
+antiderivative (:meth:`PeriodicSignal.kernel`), one pass of the loop per
+spike, used by :func:`firing_time`, :func:`iterate` and
+:func:`iterate_cumulative_pi`.  Its lane-wise copy on numpy arrays,
+:func:`_newton_batch`, serves :func:`firing_times`, the map on a whole grid
+of start times.  The one exception is a piecewise-constant drive with
+sigma = 0, whose crossings are found exactly, one lookup each, in the
+signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
+
+Both accept a displacement d by one of three tests: a small residual, a
+bracket narrowed to the resolution ``width_tol`` of t + d, or the slope
+certificate.  In the strict regime g' >= L = ess inf(f - sigma) on d >= 0,
+so |g(d)| < L*width_tol/4 proves the crossing lies within width_tol/4 of d,
+half what the bracket test's midpoint guarantees.  Far from t = 0, where no
+residual test can pass, the certificate accepts the first Newton iterate
+that lands that close.  L is 0 for the nonnegative perfect integrator,
+where the certificate never fires.
 
 Every one-step scalar solve starts from the displacement Psi = Phi - Id,
 which is 1-periodic: the cubic Hermite interpolant at t mod 1 of a table of
@@ -159,95 +169,48 @@ def _max_displacement(system: IFSystem, threshold: float = 1.0) -> float:
     return threshold / system.signal.mean() + 2.0
 
 
-def _newton_step(kern, sigma, mean, t, q0, threshold, hi, d=None):
-    """Displacement d > 0 of the first crossing after a reset at t.
+def _min_slope(system: IFSystem) -> float:
+    """L of the slope certificate: ess inf(f - sigma), or 0 outside the strict regime."""
+    return system.bounds.lower if system.regime is Regime.STRICT_LIF else 0.0
 
-    Solves g(d) = 0 for g(d) = exp(sigma*d) Q(t+d) - Q(t) - threshold
-    (sigma > 0) or mean*d + Q(t+d) - Q(t) - threshold (sigma = 0), where
-    ``(Q, f) = kern(x)`` and ``q0 = Q(t)``; g' is (f - sigma) exp(sigma*d) or
-    f.  Safeguarded Newton from the warm start ``d`` inside a bracket
-    [lo, hi]: a Newton step is taken only when it stays inside and is at
-    most half the step before the previous one, otherwise the bracket is
-    bisected (the ``rtsafe`` rule, which breaks Newton 2-cycles).  A step
-    within the resolution ``width_tol`` of t + d is always taken: it can
-    only be rounding noise, and bisecting a one-sided bracket for it would
-    cost some 40 iterations.  The upper end starts at the bound ``hi`` from
-    the essential bounds, which is trusted only until the iteration runs
-    into it: then it doubles, at most 80 times.  So every return has a
-    residual within tolerance or a bracket whose ends were both evaluated.
-    Returns ``(d, Q(t + d))``.
+
+def _newton_batch(system: IFSystem, kern, ts, q0, d=None):
+    """Displacements d > 0 of the first crossings after resets at every ts.
+
+    Solves g(d) = 0 lane by lane for g(d) = exp(sigma*d) Q(t+d) - Q(t) - 1
+    (sigma > 0) or mean*d + Q(t+d) - Q(t) - 1 (sigma = 0), where
+    ``(Q, f) = kern(x)`` is the signal's :meth:`PeriodicSignal.kernel_array`
+    and ``q0 = Q(ts)``; g' is (f - sigma) exp(sigma*d) or f.  Safeguarded
+    Newton from the optional warm starts ``d`` inside a bracket [lo, hi]: a
+    Newton step is taken only when it stays inside and is at most half the
+    step before the previous one, otherwise the bracket is bisected (the
+    ``rtsafe`` rule, which breaks Newton 2-cycles).  A step within the
+    resolution ``width_tol`` of t + d is always taken: it can only be
+    rounding noise, and bisecting a one-sided bracket for it would cost some
+    40 iterations.  The upper end starts at the bound from the essential
+    bounds, which is trusted only until the iteration runs into it: then it
+    doubles, at most 80 times.  An exp(sigma*d) that overflows counts as
+    above the threshold.  So every lane ends on a residual within tolerance,
+    a slope certificate or a bracket whose ends were both evaluated, and
+    drops out there.  The scalar loop of :func:`_crossings` takes the same
+    steps with the same tests and iteration budget.
     """
-    exp, log1p = math.exp, math.log1p
-    lo, top, doublings = 0.0, hi, 0  # g(top) >= 0 is unverified
-    if d is None or not lo < d < hi:
-        d = 0.5 * hi
-    step = step_old = hi  # the previous step and the one before
-    # t + d is representable only to ulp(t); don't demand finer than that
-    width_tol = max(1e-15, 1e-15 * hi, 8e-16 * abs(t))
-    for _ in range(_MAX_ITER):
-        q1, fx = kern(t + d)
-        if sigma > 0.0:
-            e = exp(sigma * d)
-            g = e * q1 - q0 - threshold
-            dg = (fx - sigma) * e
-            # Newton in exp(sigma*d), in which g is affine on every step piece
-            r = sigma * g / dg if dg > 0.0 else 1.0
-            cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
-        else:
-            g = mean * d + q1 - q0 - threshold
-            dg = fx
-            cand = d - g / dg if dg > 0.0 else -1.0
-        if abs(g) <= _RESIDUAL_TOL * dg and abs(g) <= _RESIDUAL_TOL:  # |g| and |g/g'|
-            return d, q1
-        if g > 0.0:
-            hi, dx = d, d - cand
-        else:
-            lo, dx = d, cand - d
-        if hi == top and (cand >= hi or hi - lo <= width_tol):
-            # the crossing may lie past the unverified end: the bound was optimistic
-            doublings += 1
-            if doublings > 80:
-                raise NoConvergenceError(
-                    f"could not bracket the firing time after t={t!r}: "
-                    f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
-                )
-            hi = top = 2.0 * top
-        elif hi - lo <= width_tol:
-            d = 0.5 * (lo + hi)
-            return d, kern(t + d)[0]
-        if lo < cand < hi and (dx + dx <= step_old or dx <= width_tol):
-            step_old, step, d = step, dx, cand
-        else:
-            step_old, step, d = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
-    raise NoConvergenceError(
-        f"firing-time iteration did not converge after t={t!r}: "
-        f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
-    )
-
-
-def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
-    """:func:`_newton_step` lane by lane on arrays, for the threshold 1.
-
-    ``kern`` is the signal's :meth:`PeriodicSignal.kernel_array`, ``q0`` is
-    Q(ts) and ``d`` an optional warm start per lane.  Every lane takes the
-    scalar solver's steps, with the same acceptance tests, step rule,
-    bracket doubling and iteration budget, and drops out once it converges.
-    Returns the displacements.
-    """
+    sigma, mean, hi = system.sigma, system.signal.mean(), _max_displacement(system)
     n = ts.size
     out, lane, t = np.empty(n), np.arange(n), ts
     d = np.full(n, 0.5 * hi) if d is None else np.where((0.0 < d) & (d < hi), d, 0.5 * hi)
     # t + d is representable only to ulp(t); don't demand finer than that
     width_tol = np.maximum(max(1e-15, 1e-15 * hi), 8e-16 * np.abs(t))
+    cert = 0.25 * width_tol * _min_slope(system)
     lo, hi = np.zeros(n), np.full(n, hi)
     top, doublings = hi, np.zeros(n, dtype=int)  # g(top) >= 0 is unverified
     step = step_old = hi  # the previous step and the one before
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
             q1, fx = kern(t + d)
             if sigma > 0.0:
                 e = np.exp(sigma * d)
-                g = e * q1 - q0 - 1.0
+                g = np.where(e < np.inf, e * q1 - q0 - 1.0, np.inf)
                 dg = (fx - sigma) * e
                 r = np.where(dg > 0.0, sigma * g / dg, 1.0)
                 cand = np.where(r < 1.0, d + np.log1p(-r) / sigma, -1.0)
@@ -255,7 +218,8 @@ def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
                 g = mean * d + q1 - q0 - 1.0
                 dg = fx
                 cand = np.where(dg > 0.0, d - g / dg, -1.0)
-            done = (np.abs(g) <= _RESIDUAL_TOL * dg) & (np.abs(g) <= _RESIDUAL_TOL)
+            ag = np.abs(g)
+            done = (ag < cert) | ((ag <= _RESIDUAL_TOL * dg) & (ag <= _RESIDUAL_TOL))
             above = g > 0.0
             hi = np.where(above, d, hi)
             lo = np.where(above, lo, d)
@@ -282,9 +246,9 @@ def _newton_batch(kern, sigma, mean, ts, q0, hi, d=None):
             d = np.where(newton, cand, mid)
             keep = ~(done | narrow)
             if not keep.all():
-                lane, t, q0, d, lo, hi, top, doublings, width_tol, g, step, step_old = (
+                lane, t, q0, d, lo, hi, top, doublings, width_tol, cert, g, step, step_old = (
                     a[keep] for a in
-                    (lane, t, q0, d, lo, hi, top, doublings, width_tol, g, step, step_old))
+                    (lane, t, q0, d, lo, hi, top, doublings, width_tol, cert, g, step, step_old))
             if not lane.size:
                 return out
     raise NoConvergenceError(
@@ -327,33 +291,28 @@ def _psi_table(system: IFSystem) -> tuple:
         sig, sigma = system.signal, system.sigma
         kern, f = sig.kernel_array(sigma), sig.eval_array
         ts = np.arange(_PSI_GRID + 1) / _PSI_GRID
-        # a far bracket end overflows exp(sigma*d) to inf, which the solver handles
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            try:
-                psi = _newton_batch(kern, sigma, sig.mean(), ts, kern(ts)[0],
-                                    _max_displacement(system))
-            except NoConvergenceError:
-                system._psi = ()
-                return ()
+        try:
+            psi = _newton_batch(system, kern, ts, kern(ts)[0])
+        except NoConvergenceError:
+            system._psi = ()
+            return ()
+        with np.errstate(divide="ignore", invalid="ignore"):
             dpsi = f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
         dpsi[~np.isfinite(dpsi)] = 0.0
         system._psi = array("d", psi.tobytes()), array("d", dpsi.tobytes())
     return system._psi
 
 
-def _psi_start(psi: array, dpsi: array, t: float) -> float:
-    """Cubic Hermite interpolant at t mod 1 of the table (Psi, Psi') of :func:`_psi_table`."""
-    x = t % 1.0 * _PSI_GRID
-    # t % 1.0 is 1.0 for tiny negative t; a nan start is discarded by the solver
-    j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
-    s, y0, dy = x - j, psi[j], psi[j + 1] - psi[j]
-    m0, m1 = dpsi[j] / _PSI_GRID, dpsi[j + 1] / _PSI_GRID
-    return y0 + s * (m0 + s * (3.0 * dy - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * dy)))
-
-
 def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) -> np.ndarray:
     """n firing times from t0: the orbit, or with ``cumulative`` the crossings
-    of the thresholds 1..n by the input integrated from t0 (sigma = 0)."""
+    of the thresholds 1..n by the input integrated from t0 (sigma = 0).
+
+    One pass of the spike loop is one lane of :func:`_newton_batch`, for the
+    threshold 1 or, cumulatively, i + 1, and returns Q(t + d) beside d for
+    the next spike.  An orbit step starts from the cubic Hermite interpolant
+    at t mod 1 of the table of :func:`_psi_table`; cumulative crossings, and
+    every step when the table is empty, start cold at half the bound.
+    """
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
     times = np.empty(n)
@@ -365,23 +324,88 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
             else:
                 t = times[i] = _pi_pwc_crossing(sig, t, 1)
         return times
-    kern, mean = sig.kernel(sigma), sig.mean()
+    kern, mean, slope = sig.kernel(sigma), sig.mean(), _min_slope(system)
+    exp, log1p, inf = math.exp, math.log1p, math.inf
     snap = isinstance(sig, Sampled) and sigma == 0.0
-    table = () if cumulative else _psi_table(system)
+    psi, dpsi = (() if cumulative else _psi_table(system)) or (None, None)
+    dmax, threshold = _max_displacement(system), 1.0
+    floor = max(1e-15, 1e-15 * dmax)
     t, q0 = t0, kern(t0)[0]
-    dmax, threshold, d = _max_displacement(system), 1.0, None
     for i in range(n):
         if cumulative:
             threshold = float(i + 1)
             dmax = _max_displacement(system, threshold)
+            floor = max(1e-15, 1e-15 * dmax)
+            d = 0.5 * dmax
+        elif psi:
+            x = t % 1.0 * _PSI_GRID
+            # t % 1.0 is 1.0 for tiny negative t
+            j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
+            s, y0, dy = x - j, psi[j], psi[j + 1] - psi[j]
+            m0, m1 = dpsi[j] / _PSI_GRID, dpsi[j + 1] / _PSI_GRID
+            d = y0 + s * (m0 + s * (3.0 * dy - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * dy)))
+            if not 0.0 < d < dmax:  # nan too
+                d = 0.5 * dmax
         else:
-            d = _psi_start(*table, t) if table else None
-        d, q1 = _newton_step(kern, sigma, mean, t, q0, threshold, dmax, d)
+            d = 0.5 * dmax
+        lo, hi, top, doublings = 0.0, dmax, dmax, 0  # g(top) >= 0 is unverified
+        step = step_old = dmax  # the previous step and the one before
+        # t + d is representable only to ulp(t); don't demand finer than that
+        width_tol = max(floor, 8e-16 * abs(t))
+        cert = 0.25 * width_tol * slope
+        for _ in range(_MAX_ITER):
+            q1, fx = kern(t + d)
+            if sigma > 0.0:
+                try:
+                    e = exp(sigma * d)
+                except OverflowError:  # far past the crossing
+                    g = dg = inf
+                    cand = -1.0
+                else:
+                    g = e * q1 - q0 - threshold
+                    dg = (fx - sigma) * e
+                    # Newton in exp(sigma*d), in which g is affine on every step piece
+                    r = sigma * g / dg if dg > 0.0 else 1.0
+                    cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
+            else:
+                g = mean * d + q1 - q0 - threshold
+                dg = fx
+                cand = d - g / dg if dg > 0.0 else -1.0
+            ag = abs(g)
+            # the slope certificate, or |g| and |g/g'| within tolerance
+            if ag < cert or ag <= _RESIDUAL_TOL * dg and ag <= _RESIDUAL_TOL:
+                break
+            if g > 0.0:
+                hi, dx = d, d - cand
+            else:
+                lo, dx = d, cand - d
+            if hi == top and (cand >= hi or hi - lo <= width_tol):
+                # the crossing may lie past the unverified end: the bound was optimistic
+                doublings += 1
+                if doublings > 80:
+                    raise NoConvergenceError(
+                        f"could not bracket the firing time after t={t!r}: "
+                        f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+                    )
+                hi = top = 2.0 * top
+            elif hi - lo <= width_tol:
+                d = 0.5 * (lo + hi)
+                q1 = kern(t + d)[0]
+                break
+            if lo < cand < hi and (dx + dx <= step_old or dx <= width_tol):
+                step_old, step, d = step, dx, cand
+            else:
+                step_old, step, d = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
+        else:
+            raise NoConvergenceError(
+                f"firing-time iteration did not converge after t={t!r}: "
+                f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
+            )
         x = t + d
         if snap:
             y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - threshold)
             if y != x:
-                x, q1, d = y, kern(y)[0], y - t
+                x, q1 = y, kern(y)[0]
         times[i] = x
         if not cumulative:
             t, q0 = x, q1
@@ -427,7 +451,7 @@ def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
         return np.array([_pi_pwc_crossing(sig, t, 1) for t in ts.tolist()])
     kern, mean = sig.kernel_array(sigma), sig.mean()
     q0 = kern(ts)[0]
-    x = ts + _newton_batch(kern, sigma, mean, ts, q0, _max_displacement(system), d)
+    x = ts + _newton_batch(system, kern, ts, q0, d)
     if isinstance(sig, Sampled) and sigma == 0.0:
         skern = sig.kernel(0.0)
         for i, (t, q, xi) in enumerate(zip(ts.tolist(), q0.tolist(), x.tolist())):

@@ -10,8 +10,8 @@ Three concrete families are supported:
 Every integral goes through one periodic antiderivative per signal and leak
 rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
 the interpolant of a sampled signal).  Its f is the only evaluation of f;
-extrema of a trigonometric polynomial come from a golden-section search
-(:func:`_golden_min`) around every grid well that can hold them.
+extrema of a trigonometric polynomial come from one golden-section search
+(:func:`_golden_mins`) around all the grid wells that can hold them.
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -51,6 +51,22 @@ def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def _golden_mins(fn, a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """:func:`_golden_min` on every interval [a[i], b[i]] at once, for fn on arrays."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a).max() > tol:
+        left = fc < fd  # the minimum lies in [a, d]: d becomes the upper probe
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fn(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)
 
 
@@ -220,30 +236,39 @@ class TrigPolynomial(PeriodicSignal):
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         if not self.harmonics:
             return EssentialBounds(self.a0 - sigma, self.a0)
-        return EssentialBounds(self._extremum(1.0) - sigma, -self._extremum(-1.0))
+        lo, hi = self._extrema()
+        return EssentialBounds(lo - sigma, hi)
 
-    def _extremum(self, sign: float) -> float:
-        """Minimum of sign * f over one period.
+    def _extrema(self) -> tuple[float, float]:
+        """(min f, max f) over one period.
 
         A grid of 16 points per period of the highest harmonic, so none
-        aliases, then a golden search +-h around every grid well (strictly
-        below its left neighbour, not above its right one) that can hold the
-        minimum: within m2*h**2/4 of the grid minimum, where m2 bounds
-        |f''|, and in one period 1/g of f, g the gcd of the harmonic indices.
+        aliases, then a golden search +-h around every grid well of f and of
+        -f (strictly below its left neighbour, not above its right one) that
+        can hold the extremum: within m2*h**2/4 of the grid extremum, where
+        m2 bounds |f''|, and in one period 1/g of f, g the gcd of the
+        harmonic indices.  All the wells are searched together, as one array.
         """
         grid = max(4096, 16 * self.harmonics[-1][0])
         h = 1.0 / grid
-        vals = sign * self.eval_array(np.arange(grid) / grid)
-        best = float(vals.min())
+        f = self.eval_array(np.arange(grid) / grid)
         m2 = sum((TWO_PI * k) ** 2 * math.hypot(c, s) for k, c, s in self.harmonics)
         g = math.gcd(*(k for k, _, _ in self.harmonics))
-        wells = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-        wells &= vals <= best + m2 * h * h / 4
-        kern = self.kernel(0.0)
-        for i in np.flatnonzero(wells[: grid // g + 2]).tolist():
-            t = _golden_min(lambda u: sign * kern(u)[1], (i - 1) * h, (i + 1) * h)
-            best = min(best, sign * kern(t)[1])
-        return best
+        best, wells, signs = [], [], []
+        for sign in (1.0, -1.0):
+            vals = sign * f
+            best.append(float(vals.min()))
+            well = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+            well &= vals <= best[-1] + m2 * h * h / 4
+            wells.append(np.flatnonzero(well[: grid // g + 2]))
+            signs.append(np.full(wells[-1].size, sign))
+        i, sign = np.concatenate(wells), np.concatenate(signs)
+        if i.size:
+            kern = self.kernel_array(0.0)
+            t = _golden_mins(lambda u: sign * kern(u)[1], (i - 1) * h, (i + 1) * h)
+            v = sign * kern(t)[1]
+            best = [float(v[sign == s].min(initial=b)) for b, s in zip(best, (1.0, -1.0))]
+        return best[0], -best[1]
 
     def is_continuous_at(self, t: float) -> bool:
         return True

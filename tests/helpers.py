@@ -140,3 +140,39 @@ def trig_extrema_oracle(sig) -> tuple[float, float]:
             x = np.clip(x - step, start - h, start + h)
         out.append(sign * min(v.min(), (sign * derivs(x)[0]).min()))
     return out[0], out[1]
+
+
+def threshold_gap(sig, sigma: float, t: float, x: float, dps: int = 40):
+    """v(x) - 1 to ``dps`` digits, for the potential reset to 0 at t of a
+    leaky system (sigma > 0), v(x) = integral_t^x f(u) exp(-sigma (x - u)) du.
+
+    Closed form for a trigonometric drive, piece by piece for a step drive;
+    t and x are taken exactly.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t, x, s = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(sigma)
+
+        def decay(u):  # exp(-sigma (x - u))
+            return mpmath.exp(s * (u - x))
+
+        if isinstance(sig, TrigPolynomial):
+            def anti(u):  # an antiderivative of f(u) exp(-sigma (x - u))
+                total = mpmath.mpf(sig.a0) / s
+                for k, c, sn in sig.harmonics:
+                    w = 2 * mpmath.pi * k
+                    cw, sw = mpmath.cos(w * u), mpmath.sin(w * u)
+                    total += (c * (s * cw + w * sw) + sn * (s * sw - w * cw)) / (s * s + w * w)
+                return total * decay(u)
+
+            v = anti(x) - anti(t)
+        else:
+            bs = sig.breakpoints
+            nodes = [t] + [k + mpmath.mpf(b) for k in range(math.floor(t), math.floor(x) + 1)
+                           for b in bs if t < k + b < x] + [x]
+            v = mpmath.mpf(0)
+            for a, b in zip(nodes, nodes[1:]):
+                i = bisect_right(bs, float(a - mpmath.floor(a))) - 1
+                v += sig.values[i] * (decay(b) - decay(a)) / s
+        return v - 1

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -402,19 +403,18 @@ def test_pwc_walk_no_convergence_names_t_bracket_and_residual():
     assert "after t=0.25: bracket [9.0, 10.0], residual -2.500e-02" in str(err.value)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: IFSystem(1.0, TrigPolynomial(2.0, [(1, 0.5, 0.0)])),
-    lambda: IFSystem(0.0, TrigPolynomial(2.6, [(1, 0.5, 0.3)])),
-    lambda: IFSystem(1.0, PiecewiseConstant([0.0, 0.3, 0.7], [3.0, 1.5, 2.2])),
-    lambda: IFSystem(1.0, Sampled(2.0 + 0.8 * np.sin(2 * np.pi * np.arange(48) / 48))),
-], ids=["trig-lif", "trig-strict-pi", "step-lif", "sampled-lif"])
-def test_orbit_warm_start_table_saves_kernel_evaluations(make):
-    # the orbit starts each solve from the cached table of Psi: few kernel
-    # evaluations per spike, and the table is built once, by the first solve
-    system = make()
+ORBIT_SYSTEMS = {
+    "trig-lif": lambda: IFSystem(1.0, TrigPolynomial(2.0, [(1, 0.5, 0.0)])),
+    "trig-strict-pi": lambda: IFSystem(0.0, TrigPolynomial(2.6, [(1, 0.5, 0.3)])),
+    "step-lif": lambda: IFSystem(1.0, PiecewiseConstant([0.0, 0.3, 0.7], [3.0, 1.5, 2.2])),
+    "sampled-lif": lambda: IFSystem(
+        1.0, Sampled(2.0 + 0.8 * np.sin(2 * np.pi * np.arange(48) / 48))),
+}
+
+
+def _count_kernel_calls(system):
+    """Wrap the scalar kernel of the system's drive with a call counter."""
     sig, sigma = system.signal, system.sigma
-    validate(system)
-    assert system._psi is None
     kern, calls = sig.kernel(sigma), [0]
 
     def counted(x):
@@ -422,9 +422,57 @@ def test_orbit_warm_start_table_saves_kernel_evaluations(make):
         return kern(x)
 
     sig._kernels[sigma] = counted
+    return calls
+
+
+@pytest.mark.parametrize("make", ORBIT_SYSTEMS.values(), ids=ORBIT_SYSTEMS.keys())
+def test_orbit_warm_start_table_saves_kernel_evaluations(make):
+    # the orbit starts each solve from the cached table of Psi: few kernel
+    # evaluations per spike, and the table is built once, by the first solve
+    system = make()
+    validate(system)
+    assert system._psi is None
+    calls = _count_kernel_calls(system)
     iterate(system, 0.1, 5000)
     table = system._psi
     assert len(table) == 2
     assert calls[0] <= 2.5 * 5000
     iterate(system, 0.4, 10)
     assert system._psi is table
+
+
+@pytest.mark.parametrize("name", ["trig-lif", "trig-strict-pi", "step-lif"])
+def test_far_orbit_certificate_saves_kernel_evaluations(name):
+    # at t ~ 5e4 no residual test can pass; the slope certificate accepts the
+    # first iterate within width_tol/4 of the crossing, where the bracket
+    # test would narrow the bracket and evaluate once more at its midpoint
+    system = ORBIT_SYSTEMS[name]()
+    calls = _count_kernel_calls(system)
+    iterate(system, 5e4 + 0.1, 3000)
+    assert calls[0] <= 1.5 * 3000
+
+
+def _near_marginal():
+    # ess inf(f - sigma) = 9.8e-6: the cold start d = 1/(2 ess inf) ~ 5e4
+    # overflows exp(sigma*d)
+    return IFSystem(1.0, Sampled(2.0 + np.sin(np.arange(48))))
+
+
+def test_cold_solve_counts_exp_overflow_as_above_threshold():
+    warm, cold = _near_marginal(), _near_marginal()
+    cold._psi = ()  # no warm-start table: every solve starts at d ~ 5e4
+    for t in (0.1, 0.5, 3.7, 1e4 + 0.3):
+        assert firing_time(cold, t) == pytest.approx(firing_time(warm, t), abs=1e-12)
+    orbit = iterate(cold, 0.2, 50)
+    starts = np.concatenate([[0.2], orbit.times[:-1]])
+    for t, phi in zip(starts.tolist(), orbit.times.tolist()):
+        assert phi == pytest.approx(firing_time(warm, t), abs=1e-12)
+
+
+def test_batched_solve_counts_exp_overflow_as_above_threshold():
+    system = _near_marginal()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = firing_times(system, [0.1, 0.5])
+    assert phi.tolist() == pytest.approx([firing_time(system, 0.1), firing_time(system, 0.5)],
+                                         abs=1e-12)

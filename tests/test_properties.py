@@ -38,6 +38,7 @@ from helpers import (
     half_on_half_off,
     pwc_crossing_oracle,
     pwc_integral_oracle,
+    threshold_gap,
     trig_extrema_oracle,
 )
 
@@ -164,6 +165,37 @@ def test_rotation_enclosure_meets_long_orbit_interval(system, t0):
     lo, hi = _enclosure_interval(system)
     other = rotation_number(system, t0, 100_000)  # an independent orbit, bound 1e-5
     assert lo <= other.value + other.error_bound and other.value - other.error_bound <= hi
+
+
+# step drives on which a slope certificate that took ess sup f for ess inf(f - sigma)
+# accepts spikes from t0 = 1000 up to twice as far off as the bound below allows
+FAR_STEP_A = IFSystem(1.915891199989868, PiecewiseConstant(
+    [0.0, 0.18625728654513513, 0.35444498466363517, 0.43257286861297223, 0.8347667736539746],
+    [2.1481476039365655, 4.624261798378978, 4.636817225940089, 3.207814851479808,
+     3.188038432232651]))
+FAR_STEP_B = IFSystem(0.9268386187830562, PiecewiseConstant(
+    [0.0, 0.020372635773827995, 0.14113626470288468, 0.18577154726336734],
+    [3.175297237525294, 3.868723833739293, 1.233320649329267, 1.8553798476256806]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigmas.flatmap(lambda sigma: st.sampled_from([trig_drives, step_drives]).flatmap(
+    lambda kind: kind(sigma)).map(lambda sig: IFSystem(sigma, sig))), st.floats(1e3, 1e6))
+@example(FAR_STEP_A, 1000.0)
+@example(FAR_STEP_B, 1000.0)
+def test_far_spikes_meet_the_threshold(system, t0):
+    # Far from t = 0 the slope certificate accepts most spikes, and no spike
+    # may lie further from the 40-digit crossing than the bracket test allows:
+    # width_tol/2, plus ulp/2 for rounding t + d.  In potential units that is
+    # the slope f - sigma times this, plus sigma*Q*ulp/2: the solver evaluates
+    # Q at the rounded t + d but exp(sigma*d) at d itself.
+    orbit = iterate(system, t0, 20)
+    sig, sigma = system.signal, system.sigma
+    for t, x in zip([t0, *orbit.times[:-1].tolist()], orbit.times.tolist()):
+        gap = float(threshold_gap(sig, sigma, t, x))
+        q, f = sig.kernel(sigma)(x)
+        ulp = math.ulp(x)
+        assert abs(gap) <= (f - sigma) * (0.5 * 8e-16 * abs(t) + 0.5 * ulp) + sigma * q * 0.5 * ulp
 
 
 def _mp_sampled_weighted(values, sigma, t, delta):

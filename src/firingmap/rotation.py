@@ -146,8 +146,9 @@ _GRID_SIZE = 64  # grid of a mediant the orbit cannot place
 def _slack(q: int, t_max: float, dmax: float) -> float:
     """Error allowance of Phi^q - Id - p computed by q solver steps within |t| <= t_max.
 
-    A step is accurate to the solver's residual 1e-13 (which bounds |g/g'|)
-    or to half its last bracket, at most 1e-15 dmax + 8e-16 |t|, and
+    A step is accurate to the solver's residual 1e-13 (which bounds |g/g'|),
+    to a quarter of its width_tol by the slope certificate, or to half its
+    last bracket, at most 1e-15 dmax + 8e-16 |t|, and
     rounding t + d adds ulp(t)/2; so 1e-13 + 1e-15 (dmax + t_max) per step,
     added up over the q steps.  Forming the differences and the phase gaps
     rounds by at most 1e-15 (t_max + 1) more.

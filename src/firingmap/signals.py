@@ -10,8 +10,9 @@ Three concrete families are supported:
 Every integral goes through one periodic antiderivative per signal and leak
 rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
 the interpolant of a sampled signal).  Its f is the only evaluation of f;
-extrema of a trigonometric polynomial come from one golden-section search
-(:func:`_golden_mins`) around all the grid wells that can hold them.
+extrema of a trigonometric polynomial come from golden-section searches
+around every grid well that can hold them, one array search
+(:func:`_golden_mins`) when there are many.
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -28,6 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+_ARRAY_WELLS = 16  # more candidate extrema than this are golden-searched as one array
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -61,7 +63,7 @@ def _golden_mins(fn, a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.nda
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while (b - a).max() > tol:
-        left = fc < fd  # the minimum lies in [a, d]: d becomes the upper probe
+        left = fc < fd  # the minimum lies in [a, d], where c becomes the upper probe
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         fx = fn(x)
@@ -247,7 +249,9 @@ class TrigPolynomial(PeriodicSignal):
         -f (strictly below its left neighbour, not above its right one) that
         can hold the extremum: within m2*h**2/4 of the grid extremum, where
         m2 bounds |f''|, and in one period 1/g of f, g the gcd of the
-        harmonic indices.  All the wells are searched together, as one array.
+        harmonic indices.  Past _ARRAY_WELLS wells, such as the 8,192 level
+        wells of a tiny first harmonic under a 4096th one, they are searched
+        together, as one array.
         """
         grid = max(4096, 16 * self.harmonics[-1][0])
         h = 1.0 / grid
@@ -263,11 +267,15 @@ class TrigPolynomial(PeriodicSignal):
             wells.append(np.flatnonzero(well[: grid // g + 2]))
             signs.append(np.full(wells[-1].size, sign))
         i, sign = np.concatenate(wells), np.concatenate(signs)
-        if i.size:
+        a, b = (i - 1) * h, (i + 1) * h
+        if i.size > _ARRAY_WELLS:
             kern = self.kernel_array(0.0)
-            t = _golden_mins(lambda u: sign * kern(u)[1], (i - 1) * h, (i + 1) * h)
-            v = sign * kern(t)[1]
-            best = [float(v[sign == s].min(initial=b)) for b, s in zip(best, (1.0, -1.0))]
+            v = sign * kern(_golden_mins(lambda u: sign * kern(u)[1], a, b))[1]
+        else:  # a few scalar searches cost less than the numpy overhead of one array search
+            kern = self.kernel(0.0)
+            v = np.array([s * kern(_golden_min(lambda u: s * kern(u)[1], lo, hi))[1]
+                          for s, lo, hi in zip(sign.tolist(), a.tolist(), b.tolist())])
+        best = [float(v[sign == s].min(initial=m)) for m, s in zip(best, (1.0, -1.0))]
         return best[0], -best[1]
 
     def is_continuous_at(self, t: float) -> bool:

@@ -1,10 +1,12 @@
 """Shared system factories and the test suite's oracles: exact step-drive
-integrals and crossings, and the extrema of a trigonometric drive."""
+integrals and crossings, the extrema of a trigonometric drive, and the
+40-digit threshold gap of a leaky system."""
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 import firingmap.rotation as rotation
@@ -149,8 +151,6 @@ def threshold_gap(sig, sigma: float, t: float, x: float, dps: int = 40):
     Closed form for a trigonometric drive, piece by piece for a step drive;
     t and x are taken exactly.
     """
-    import mpmath
-
     with mpmath.workdps(dps):
         t, x, s = mpmath.mpf(t), mpmath.mpf(x), mpmath.mpf(sigma)
 

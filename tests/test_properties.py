@@ -297,6 +297,9 @@ HIGH_HARMONICS = parse_signal(
     "25,0.2136276032155486,0.6609100304325133;35,1.4476000014639705,-1.0648768888459912"
 )
 
+# 4,096 wells level to 2e-6 for each extremum: searched as one array
+MANY_LEVEL_WELLS = TrigPolynomial(3.0, [(1, 1e-6, 0.0), (4096, 1.0, 0.0)])
+
 
 @st.composite
 def any_trig_drives(draw):
@@ -309,6 +312,7 @@ def any_trig_drives(draw):
 @given(any_trig_drives(), st.floats(0.0, 3.0))
 @example(NEAR_LEVEL_WELLS, 1.9999996)
 @example(HIGH_HARMONICS, 1.0)
+@example(MANY_LEVEL_WELLS, 1.0)
 def test_trig_essential_bounds_match_oracle(sig, sigma):
     lo, hi = trig_extrema_oracle(sig)
     tol = 1e-13 * (abs(sig.a0) + sum(math.hypot(c, s) for _, c, s in sig.harmonics))

@@ -171,7 +171,8 @@ def _max_displacement(system: IFSystem, threshold: float = 1.0) -> float:
 
 def _min_slope(system: IFSystem) -> float:
     """L of the slope certificate: ess inf(f - sigma), or 0 outside the strict regime."""
-    return system.bounds.lower if system.regime is Regime.STRICT_LIF else 0.0
+    lower = system.bounds.lower
+    return lower if lower > _STRICT_TOL else 0.0  # validate's test for the strict regime
 
 
 def _newton_batch(system: IFSystem, kern, ts, q0, d=None):

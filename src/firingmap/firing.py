@@ -311,8 +311,8 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
     One pass of the spike loop is one lane of :func:`_newton_batch`, for the
     threshold 1 or, cumulatively, i + 1, and returns Q(t + d) beside d for
     the next spike.  An orbit step starts from the cubic Hermite interpolant
-    at t mod 1 of the table of :func:`_psi_table`; cumulative crossings, and
-    every step when the table is empty, start cold at half the bound.
+    at t mod 1 of the table of :func:`_psi_table`, or at half the bound when
+    the table is empty; the crossing of threshold i + 1 starts from that of i.
     """
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
@@ -337,7 +337,9 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
             threshold = float(i + 1)
             dmax = _max_displacement(system, threshold)
             floor = max(1e-15, 1e-15 * dmax)
-            d = 0.5 * dmax
+            # warm: the previous threshold's crossing lies about 1/mean short
+            if not (i and 0.0 < d < dmax):
+                d = 0.5 * dmax
         elif psi:
             x = t % 1.0 * _PSI_GRID
             # t % 1.0 is 1.0 for tiny negative t
@@ -406,7 +408,7 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
         if snap:
             y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - threshold)
             if y != x:
-                x, q1 = y, kern(y)[0]
+                x, q1, d = y, kern(y)[0], y - t
         times[i] = x
         if not cumulative:
             t, q0 = x, q1

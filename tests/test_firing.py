@@ -452,6 +452,20 @@ def test_far_orbit_certificate_saves_kernel_evaluations(name):
     assert calls[0] <= 1.5 * 3000
 
 
+@pytest.mark.parametrize("make, per_threshold", [
+    (lambda: IFSystem(0.0, TrigPolynomial(1.0, [(1, 1.0, 0.0)])), 13.0),
+    (ORBIT_SYSTEMS["trig-strict-pi"], 6.5),
+], ids=["nonneg-trig-pi", "trig-strict-pi"])
+def test_cumulative_crossings_start_from_the_previous_one(make, per_threshold):
+    # the crossing of threshold i + 1 lies about 1/mean past that of i; a cold
+    # start at half the bound, ~(i + 1)/(2 lower) away, costs 17 and 8
+    # evaluations per threshold on these drives
+    system = make()
+    calls = _count_kernel_calls(system)
+    iterate_cumulative_pi(system, 0.1, 2000)
+    assert calls[0] <= per_threshold * 2000
+
+
 def _near_marginal():
     # ess inf(f - sigma) = 9.8e-6: the cold start d = 1/(2 ess inf) ~ 5e4
     # overflows exp(sigma*d)

@@ -11,8 +11,8 @@ Every integral goes through one periodic antiderivative per signal and leak
 rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
 the interpolant of a sampled signal).  Its f is the only evaluation of f;
 extrema of a trigonometric polynomial come from golden-section searches
-around every grid well that can hold them, all in one array search
-(:func:`_golden_mins`).
+around every grid well that can hold them, one array search
+(:func:`_golden_mins`) when there are many.
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -29,6 +29,11 @@ from itertools import accumulate
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# More candidate extrema than this are golden-searched as one array: one
+# iteration of the array search is ~20 numpy calls whatever the number of
+# wells, and on 1-3-harmonic drives it overtakes one scalar search per well
+# between 24 and 64 wells.
+_ARRAY_WELLS = 32
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -61,7 +66,7 @@ def _golden_mins(fn, a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.nda
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a).max(initial=0.0) > tol:  # no intervals, no search
+    while (b - a).max() > tol:
         left = fc < fd  # the minimum lies in [a, d], where c becomes the upper probe
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
@@ -248,9 +253,9 @@ class TrigPolynomial(PeriodicSignal):
         -f (strictly below its left neighbour, not above its right one) that
         can hold the extremum: within m2*h**2/4 of the grid extremum, where
         m2 bounds |f''|, and in one period 1/g of f, g the gcd of the
-        harmonic indices.  All the wells, such as the 8,192 level wells of a
-        tiny first harmonic under a 4096th one, are searched together, as one
-        array.
+        harmonic indices.  Past _ARRAY_WELLS wells, such as the 8,192 level
+        wells of a tiny first harmonic under a 4096th one, they are searched
+        together, as one array.
         """
         grid = max(4096, 16 * self.harmonics[-1][0])
         h = 1.0 / grid
@@ -266,8 +271,14 @@ class TrigPolynomial(PeriodicSignal):
             wells.append(np.flatnonzero(well[: grid // g + 2]))
             signs.append(np.full(wells[-1].size, sign))
         i, sign = np.concatenate(wells), np.concatenate(signs)
-        kern = self.kernel_array(0.0)
-        v = sign * kern(_golden_mins(lambda u: sign * kern(u)[1], (i - 1) * h, (i + 1) * h))[1]
+        a, b = (i - 1) * h, (i + 1) * h
+        if i.size > _ARRAY_WELLS:
+            kern = self.kernel_array(0.0)
+            v = sign * kern(_golden_mins(lambda u: sign * kern(u)[1], a, b))[1]
+        else:
+            kern = self.kernel(0.0)
+            v = np.array([s * kern(_golden_min(lambda u: s * kern(u)[1], lo, hi))[1]
+                          for s, lo, hi in zip(sign.tolist(), a.tolist(), b.tolist())])
         best = [float(v[sign == s].min(initial=m)) for m, s in zip(best, (1.0, -1.0))]
         return best[0], -best[1]
 

@@ -10,6 +10,7 @@ drives must match the extremum oracle of ``helpers`` to rounding.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from firingmap import (
     pi_rotation,
     rotation_enclosure,
     rotation_number,
+    signals,
 )
 
 from helpers import (
@@ -319,3 +321,15 @@ def test_trig_essential_bounds_match_oracle(sig, sigma):
     b = sig.essential_bounds(sigma)
     assert b.lower == pytest.approx(lo - sigma, abs=tol)
     assert b.upper == pytest.approx(hi, abs=tol)
+
+
+@settings(max_examples=50, deadline=None)
+@given(any_trig_drives())
+@example(NEAR_LEVEL_WELLS)
+@example(HIGH_HARMONICS)
+def test_trig_well_searches_agree_bit_for_bit(sig):
+    # one scalar golden search per well, and one array search over all wells
+    with mock.patch.object(signals, "_ARRAY_WELLS", math.inf):
+        scalar = sig._extrema()
+    with mock.patch.object(signals, "_ARRAY_WELLS", 0):
+        assert sig._extrema() == scalar

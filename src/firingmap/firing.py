@@ -181,20 +181,21 @@ def _newton_batch(system: IFSystem, kern, ts, q0, d=None):
     Solves g(d) = 0 lane by lane for g(d) = exp(sigma*d) Q(t+d) - Q(t) - 1
     (sigma > 0) or mean*d + Q(t+d) - Q(t) - 1 (sigma = 0), where
     ``(Q, f) = kern(x)`` is the signal's :meth:`PeriodicSignal.kernel_array`
-    and ``q0 = Q(ts)``; g' is (f - sigma) exp(sigma*d) or f.  Safeguarded
-    Newton from the optional warm starts ``d`` inside a bracket [lo, hi]: a
-    Newton step is taken only when it stays inside and is at most half the
-    step before the previous one, otherwise the bracket is bisected (the
-    ``rtsafe`` rule, which breaks Newton 2-cycles).  A step within the
-    resolution ``width_tol`` of t + d is always taken: it can only be
-    rounding noise, and bisecting a one-sided bracket for it would cost some
-    40 iterations.  The upper end starts at the bound from the essential
-    bounds, which is trusted only until the iteration runs into it: then it
-    doubles, at most 80 times.  An exp(sigma*d) that overflows counts as
-    above the threshold.  So every lane ends on a residual within tolerance,
-    a slope certificate or a bracket whose ends were both evaluated, and
-    drops out there.  The scalar loop of :func:`_crossings` takes the same
-    steps with the same tests and iteration budget.
+    and ``q0 = Q(ts)``; g' is (f - sigma) exp(sigma*d) or f, all at the
+    float x = t + d (d is taken as x - t).  Safeguarded Newton from the
+    optional warm starts ``d`` inside a bracket [lo, hi]: a Newton step is
+    taken only when it stays inside and is at most half the step before
+    the previous one, otherwise the bracket is bisected (the ``rtsafe``
+    rule, which breaks Newton 2-cycles).  A step within the resolution
+    ``width_tol`` of t + d is always taken: it can only be rounding noise,
+    and bisecting a one-sided bracket for it would cost some 40
+    iterations.  The upper end starts at the bound from the essential
+    bounds, which is trusted only until the iteration runs into it: then
+    it doubles, at most 80 times.  An exp(sigma*d) that overflows counts as
+    above the threshold.  So every lane ends on a residual within
+    tolerance, a slope certificate, a Newton step that rounds back to x or
+    a bracket whose ends were both evaluated, and drops out there.  The
+    scalar loop of :func:`_crossings` takes the same steps, tests and budget.
     """
     sigma, mean, hi = system.sigma, system.signal.mean(), _max_displacement(system)
     n = ts.size
@@ -208,7 +209,8 @@ def _newton_batch(system: IFSystem, kern, ts, q0, d=None):
     step = step_old = hi  # the previous step and the one before
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_ITER):
-            q1, fx = kern(t + d)
+            d = (x := t + d) - t  # the float x's own displacement (exact for d <= |t|)
+            q1, fx = kern(x)
             if sigma > 0.0:
                 e = np.exp(sigma * d)
                 g = np.where(e < np.inf, e * q1 - q0 - 1.0, np.inf)
@@ -220,7 +222,8 @@ def _newton_batch(system: IFSystem, kern, ts, q0, d=None):
                 dg = fx
                 cand = np.where(dg > 0.0, d - g / dg, -1.0)
             ag = np.abs(g)
-            done = (ag < cert) | ((ag <= _RESIDUAL_TOL * dg) & (ag <= _RESIDUAL_TOL))
+            done = ((ag < cert) | ((ag <= _RESIDUAL_TOL * dg) & (ag <= _RESIDUAL_TOL))
+                    | (t + cand == x))
             above = g > 0.0
             hi = np.where(above, d, hi)
             lo = np.where(above, lo, d)
@@ -357,7 +360,8 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
         width_tol = max(floor, 8e-16 * abs(t))
         cert = 0.25 * width_tol * slope
         for _ in range(_MAX_ITER):
-            q1, fx = kern(t + d)
+            d = (x := t + d) - t  # the float x's own displacement (exact for d <= |t|)
+            q1, fx = kern(x)
             if sigma > 0.0:
                 try:
                     e = exp(sigma * d)
@@ -375,8 +379,8 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
                 dg = fx
                 cand = d - g / dg if dg > 0.0 else -1.0
             ag = abs(g)
-            # the slope certificate, or |g| and |g/g'| within tolerance
-            if ag < cert or ag <= _RESIDUAL_TOL * dg and ag <= _RESIDUAL_TOL:
+            # the slope certificate, |g| and |g/g'| within tolerance, or Newton stays at x
+            if ag < cert or ag <= _RESIDUAL_TOL * dg and ag <= _RESIDUAL_TOL or t + cand == x:
                 break
             if g > 0.0:
                 hi, dx = d, d - cand

@@ -35,7 +35,24 @@ from .firing import (
     iterate,
 )
 from .rotation import detect_locking
-from .signals import PeriodicSignal, TrigPolynomial, _golden_min
+from .signals import PeriodicSignal, TrigPolynomial
+
+
+def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
+    """Argmin of a unimodal function on [a, b] by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,8 @@ Three concrete families are supported:
 Every integral goes through one periodic antiderivative per signal and leak
 rate, :meth:`PeriodicSignal.kernel`, in closed form for each kind (exact for
 the interpolant of a sampled signal).  Its f is the only evaluation of f;
-extrema of a trigonometric polynomial come from golden-section searches
-around every grid well that can hold them, one array search
-(:func:`_golden_mins`) when there are many.
+the extrema of a trigonometric polynomial are certified bounds from one
+branch-and-bound search over cells of a grid, on the array kernel.
 
 Every signal has period 1; callers with period-T inputs are expected to
 rescale time themselves.
@@ -29,11 +28,8 @@ from itertools import accumulate
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-# More candidate extrema than this are golden-searched as one array: one
-# iteration of the array search is ~20 numpy calls whatever the number of
-# wells, and on 1-3-harmonic drives it overtakes one scalar search per well
-# between 24 and 64 wells.
-_ARRAY_WELLS = 32
+_U = 2.0 ** -53  # unit roundoff of a float
+_SPLIT = 8  # sub-cells per kept cell and round of the extremum search
 
 
 def _dyadic(x: float) -> tuple[int, int]:
@@ -42,45 +38,12 @@ def _dyadic(x: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
-def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
-    """Argmin of a unimodal function on [a, b] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _golden_mins(fn, a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """:func:`_golden_min` on every interval [a[i], b[i]] at once, for fn on arrays."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a).max() > tol:
-        left = fc < fd  # the minimum lies in [a, d], where c becomes the upper probe
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = fn(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class EssentialBounds:
     """Essential bounds of a signal over one period.
 
-    ``lower`` is ess inf(f - sigma), ``upper`` is ess sup(f); together they
+    ``lower`` <= ess inf(f - sigma) and ``upper`` >= ess sup(f), certified
+    (:meth:`TrigPolynomial._extrema`) and exact for steps and samples; they
     control well-posedness (lower > 0 gives a homeomorphic firing map) and
     the interspike-interval bound 1/lower.
     """
@@ -243,44 +206,57 @@ class TrigPolynomial(PeriodicSignal):
         if not self.harmonics:
             return EssentialBounds(self.a0 - sigma, self.a0)
         lo, hi = self._extrema()
-        return EssentialBounds(lo - sigma, hi)
+        up = math.fsum((lo, -sigma, sigma - lo)) < 0.0  # lo - sigma rounds up: step down
+        return EssentialBounds(math.nextafter(lo - sigma, -math.inf) if up else lo - sigma, hi)
 
     def _extrema(self) -> tuple[float, float]:
-        """(min f, max f) over one period.
+        """Certified (lower bound on min f, upper bound on max f) over one period.
 
-        A grid of 16 points per period of the highest harmonic, so none
-        aliases, then a golden search +-h around every grid well of f and of
-        -f (strictly below its left neighbour, not above its right one) that
-        can hold the extremum: within m2*h**2/4 of the grid extremum, where
-        m2 bounds |f''|, and in one period 1/g of f, g the gcd of the
-        harmonic indices.  Past _ARRAY_WELLS wells, such as the 8,192 level
-        wells of a tiny first harmonic under a 4096th one, they are searched
-        together, as one array.
+        Branch and bound on cells of f and -f: on [a, a + h], |f''| <= m2 gives
+        f >= chord - (m2/2)(x - a)(a + h - x), least at the vertex clipped to the
+        cell.  Cells start on a grid of 16 points per period of the top harmonic
+        over a period 1/g of f (g the gcd of the indices) and one cell more; each
+        round splits the cells that can still beat the best value seen in _SPLIT,
+        with one array-kernel call, until m2*h**2/8 <= tol = (H + 12) u S, u the
+        unit roundoff, S = |a0| + sum |c_k| + |s_k|: cos and sin within 4 ulp,
+        H + 2 roundings along any path of the kernel's sum of H harmonics, 6 in
+        the bound (underflow aside).  The kernel's phases th = w*tau are off by
+        up to e = 4u*th, which moves harmonic k by about e*|f_k'| <= e*hypot(c_k,
+        s_k): the pruning margin allows for the worst case, the result for the
+        value at the ends of the kept cells (small at a harmonic's extremum).
         """
-        grid = max(4096, 16 * self.harmonics[-1][0])
-        h = 1.0 / grid
-        f = self.eval_array(np.arange(grid) / grid)
-        m2 = sum((TWO_PI * k) ** 2 * math.hypot(c, s) for k, c, s in self.harmonics)
-        g = math.gcd(*(k for k, _, _ in self.harmonics))
-        best, wells, signs = [], [], []
-        for sign in (1.0, -1.0):
-            vals = sign * f
-            best.append(float(vals.min()))
-            well = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-            well &= vals <= best[-1] + m2 * h * h / 4
-            wells.append(np.flatnonzero(well[: grid // g + 2]))
-            signs.append(np.full(wells[-1].size, sign))
-        i, sign = np.concatenate(wells), np.concatenate(signs)
-        a, b = (i - 1) * h, (i + 1) * h
-        if i.size > _ARRAY_WELLS:
-            kern = self.kernel_array(0.0)
-            v = sign * kern(_golden_mins(lambda u: sign * kern(u)[1], a, b))[1]
-        else:
-            kern = self.kernel(0.0)
-            v = np.array([s * kern(_golden_min(lambda u: s * kern(u)[1], lo, hi))[1]
-                          for s, lo, hi in zip(sign.tolist(), a.tolist(), b.tolist())])
-        best = [float(v[sign == s].min(initial=m)) for m, s in zip(best, (1.0, -1.0))]
-        return best[0], -best[1]
+        ks, amps = zip(*((k, math.hypot(c, s)) for k, c, s in self.harmonics))
+        m1, m2 = (sum((TWO_PI * k) ** j * r for k, r in zip(ks, amps)) for j in (1, 2))
+        tol = (len(ks) + 12) * _U * (abs(self.a0) + np.abs(np.array(self.harmonics)[:, 1:]).sum())
+        kern = self.kernel_array(0.0)
+        x = np.arange(16 * ks[-1] // math.gcd(*ks) + 2) / (16 * ks[-1])
+        margin = 2.0 * (tol + 5.0 * _U * x[-1] * m1)
+        # rows of points, cells between neighbours: those of f, then from row npos on of -f
+        xs, fs, npos = np.stack([x, x]), np.stack([f := kern(x)[1], -f]), 1
+        while True:
+            a, b, fa, fb = xs[:, :-1], xs[:, 1:], fs[:, :-1], fs[:, 1:]
+            p = 0.5 * m2 * (b - a) ** 2
+            low = np.minimum(fa, fb)
+            d = np.minimum(np.maximum(fb - fa, -p), p)
+            # d*d <= p*p; the smallest subnormal keeps p = 0 (the chord) finite
+            bound = np.minimum(low, 0.5 * (fa + fb) - 0.25 * p - d * d / (4.0 * p + 5e-324))
+            keep = bound <= low[npos:].min() + margin
+            keep[:npos] = bound[:npos] <= low[:npos].min() + margin
+            npos = int(np.count_nonzero(keep[:npos]))
+            a, b, fa, fb, bound = a[keep], b[keep], fa[keep], fb[keep], bound[keep]
+            if 0.25 * p.max() <= tol:
+                break
+            xs = a[:, None] + (b - a)[:, None] * (np.arange(_SPLIT + 1) / _SPLIT)
+            xs[:, -1] = b
+            fs = np.column_stack([fa, kern(xs[:, 1:-1])[1], fb])
+            fs[npos:, 1:-1] *= -1.0
+        tau, slack = np.stack([a, b]) % 1.0, 0.0
+        for (k, c, s), r in zip(self.harmonics, amps):
+            th = TWO_PI * k * tau  # as the kernel rounds it
+            e = 4.0 * _U * th
+            slack = slack + e * (np.abs(s * np.cos(th) - c * np.sin(th)) + r * (e + 10.0 * _U))
+        low = bound - tol - slack.max(axis=0)
+        return float(low[:npos].min()), -float(low[npos:].min())
 
     def is_continuous_at(self, t: float) -> bool:
         return True

@@ -1,6 +1,6 @@
 """Shared system factories and the test suite's oracles: exact step-drive
-integrals and crossings, the extrema of a trigonometric drive, and the
-40-digit threshold gap of a leaky system."""
+integrals and crossings, the extrema of a trigonometric drive and its
+40-digit values, and the 40-digit threshold gap of a leaky system."""
 
 import math
 from bisect import bisect_right
@@ -108,8 +108,9 @@ def pwc_crossing_oracle(sig, t: float, threshold: int) -> Fraction:
     raise AssertionError(f"the walk from t={t!r} did not terminate")
 
 
-def trig_extrema_oracle(sig) -> tuple[float, float]:
-    """(min f, max f) of a trigonometric drive, independently of the library.
+def trig_extrema_oracle(sig, with_args: bool = False) -> tuple:
+    """(min f, max f) of a trigonometric drive, independently of the library;
+    with ``with_args`` also the arrays of local minimisers and maximisers.
 
     Closed-form f, f' and f'' on a grid of 64 points per period of the
     highest harmonic, then Newton on f' from *every* local extremum of the
@@ -131,7 +132,7 @@ def trig_extrema_oracle(sig) -> tuple[float, float]:
         return f, d1, d2
 
     ts = np.arange(n) * h
-    out = []
+    out, args = [], []
     for sign in (1.0, -1.0):
         v = sign * derivs(ts)[0]
         start = ts[(v <= np.roll(v, 1)) & (v <= np.roll(v, -1))]
@@ -141,7 +142,17 @@ def trig_extrema_oracle(sig) -> tuple[float, float]:
             step = np.divide(d1, d2, out=np.zeros_like(x), where=sign * d2 > 0.0)
             x = np.clip(x - step, start - h, start + h)
         out.append(sign * min(v.min(), (sign * derivs(x)[0]).min()))
-    return out[0], out[1]
+        args.append(x)
+    return (*out, *args) if with_args else tuple(out)
+
+
+def trig_value_mp(sig, x: float, dps: int = 40):
+    """f(x) of a trigonometric drive to ``dps`` digits, x taken exactly."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        return mpmath.mpf(sig.a0) + sum(c * mpmath.cos(2 * mpmath.pi * k * x)
+                                        + s * mpmath.sin(2 * mpmath.pi * k * x)
+                                        for k, c, s in sig.harmonics)
 
 
 def threshold_gap(sig, sigma: float, t: float, x: float, dps: int = 40):

@@ -13,7 +13,9 @@ checkout's and the parent's git sha, the Python and numpy versions,
 ``nproc``, every run's last-line JSON, and per side and workload the
 median, first and third quartile of every metric, plus for each end-to-end
 metric of ``BENCHMARK.json`` the number of pairs the change won (ties count
-for neither side).
+for neither side).  When a run fails, the file is written all the same,
+with the runs made before it and a ``failed`` entry naming its workload,
+seed, side, trace flag and exit code; the script then exits non-zero.
 """
 
 from __future__ import annotations
@@ -45,13 +47,22 @@ def seeds_of(text: str) -> list[int]:
     return out
 
 
+class RunFailed(Exception):
+    """A run of ``perfbench/run.py`` exited with the non-zero exit ``code``."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
 def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if res.returncode != 0:
         sys.stderr.write(res.stderr)
-        raise SystemExit(f"{' '.join(cmd)} failed in {tree} with exit code {res.returncode}")
+        sys.stderr.write(f"{' '.join(cmd)} failed in {tree} with exit code {res.returncode}\n")
+        raise RunFailed(res.returncode)
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
@@ -82,6 +93,8 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
         if not r["trace"]:
             pairs.setdefault((r["workload"], r["seed"]), {})[r["side"]] = r["result"]["metrics"]
     for (workload, _), pair in pairs.items():
+        if len(pair) < 2:  # cut short by a failed run
+            continue
         won = summary[workload]["change_won"]
         for metric in end_to_end:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -113,27 +126,43 @@ def main(argv=None):
         "seconds": args.seconds,
         "runs": [],
     }
-    with tempfile.TemporaryDirectory() as parent_tree:
-        archive = subprocess.run(["git", "archive", record["parent_sha"]], cwd=ROOT,
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
-        trees = {"parent": parent_tree, "change": ROOT}
-        i = 0
-        for workload, seeds in plan:
-            for seed in seeds:
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                i += 1
-                for side in order:
-                    result = run(trees[side], workload, seed, args.seconds, 0)
-                    record["runs"].append({"workload": workload, "seed": seed, "side": side,
-                                           "first": order[0], "trace": 0, "result": result})
-                    print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
-            for side in ("parent", "change"):
-                result = run(trees[side], workload, seeds[0], args.seconds, 1)
-                record["runs"].append({"workload": workload, "seed": seeds[0], "side": side,
-                                       "first": "parent", "trace": 1, "result": result})
-    record["summary"] = summarise(record["runs"], end_to_end)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    at: dict = {}
+
+    def record_run(tree, workload, seed, side, first, trace):
+        at.update(workload=workload, seed=seed, side=side, trace=trace)
+        result = run(tree, workload, seed, args.seconds, trace)
+        record["runs"].append({"workload": workload, "seed": seed, "side": side,
+                               "first": first, "trace": trace, "result": result})
+        if not trace:
+            print(workload, seed, side, json.dumps(result["metrics"]), flush=True)
+
+    try:
+        with tempfile.TemporaryDirectory() as parent_tree:
+            archive = subprocess.run(["git", "archive", record["parent_sha"]], cwd=ROOT,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", parent_tree], input=archive, check=True)
+            trees = {"parent": parent_tree, "change": ROOT}
+            i = 0
+            for workload, seeds in plan:
+                for seed in seeds:
+                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    i += 1
+                    for side in order:
+                        record_run(trees[side], workload, seed, side, order[0], 0)
+                for side in ("parent", "change"):
+                    record_run(trees[side], workload, seeds[0], side, "parent", 1)
+    except RunFailed as err:
+        # keep the runs already made: write them, and which run failed, first
+        record["failed"] = {**at, "exit_code": err.code}
+        write(record, path, end_to_end)
+        raise SystemExit(f"run {at} failed with exit code {err.code}; "
+                         f"wrote the {len(record['runs'])} runs before it to {path}")
+    write(record, path, end_to_end)
+
+
+def write(record: dict, path: str, end_to_end: list[dict]) -> None:
+    record["summary"] = summarise(record["runs"], end_to_end)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

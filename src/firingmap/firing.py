@@ -396,8 +396,8 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
                     )
                 hi = top = 2.0 * top
             elif hi - lo <= width_tol:
-                d = 0.5 * (lo + hi)
-                q1 = kern(t + d)[0]
+                d = (x := t + 0.5 * (lo + hi)) - t
+                q1 = kern(x)[0]
                 break
             if lo < cand < hi and (dx + dx <= step_old or dx <= width_tol):
                 step_old, step, d = step, dx, cand
@@ -408,7 +408,6 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
                 f"firing-time iteration did not converge after t={t!r}: "
                 f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
             )
-        x = t + d
         if snap:
             y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - threshold)
             if y != x:

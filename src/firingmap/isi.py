@@ -41,7 +41,8 @@ from .signals import PeriodicSignal, TrigPolynomial
 def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
     """Argmin of a unimodal function on [a, b] by golden-section search."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     while b - a > tol:
         if fc < fd:

@@ -43,9 +43,9 @@ class EssentialBounds:
     """Essential bounds of a signal over one period.
 
     ``lower`` <= ess inf(f - sigma) and ``upper`` >= ess sup(f), certified
-    (:meth:`TrigPolynomial._extrema`) and exact for steps and samples; they
-    control well-posedness (lower > 0 gives a homeomorphic firing map) and
-    the interspike-interval bound 1/lower.
+    (:meth:`TrigPolynomial._extrema`, up to rounding ``min f - sigma`` once)
+    and exact for steps and samples; they control well-posedness (lower > 0
+    gives a homeomorphic firing map) and the interspike-interval bound 1/lower.
     """
 
     lower: float
@@ -206,8 +206,7 @@ class TrigPolynomial(PeriodicSignal):
         if not self.harmonics:
             return EssentialBounds(self.a0 - sigma, self.a0)
         lo, hi = self._extrema()
-        up = math.fsum((lo, -sigma, sigma - lo)) < 0.0  # lo - sigma rounds up: step down
-        return EssentialBounds(math.nextafter(lo - sigma, -math.inf) if up else lo - sigma, hi)
+        return EssentialBounds(lo - sigma, hi)
 
     def _extrema(self) -> tuple[float, float]:
         """Certified (lower bound on min f, upper bound on max f) over one period.
@@ -238,8 +237,8 @@ class TrigPolynomial(PeriodicSignal):
             p = 0.5 * m2 * (b - a) ** 2
             low = np.minimum(fa, fb)
             d = np.minimum(np.maximum(fb - fa, -p), p)
-            # d*d <= p*p; the smallest subnormal keeps p = 0 (the chord) finite
-            bound = np.minimum(low, 0.5 * (fa + fb) - 0.25 * p - d * d / (4.0 * p + 5e-324))
+            # d/4p in [-1/4, 1/4] cannot overflow; the smallest subnormal keeps p = 0 finite
+            bound = np.minimum(low, 0.5 * (fa + fb) - 0.25 * p - d * (d / (4.0 * p + 5e-324)))
             keep = bound <= low[npos:].min() + margin
             keep[:npos] = bound[:npos] <= low[:npos].min() + margin
             npos = int(np.count_nonzero(keep[:npos]))

@@ -154,6 +154,13 @@ def test_essential_bounds_trig_with_sine_mix():
     assert b.upper == pytest.approx(float(grid.max()), abs=1e-8)
 
 
+def test_essential_bounds_trig_near_the_float_range():
+    # the cell bound's parabola term must not overflow for amplitudes near 1e306
+    b = TrigPolynomial(2e306, [(1, 1e306, 0.0)]).essential_bounds(0.0)
+    assert b.lower == pytest.approx(1e306, rel=1e-12) and b.lower <= 1e306
+    assert b.upper == pytest.approx(3e306, rel=1e-12) and b.upper >= 3e306
+
+
 def test_essential_bounds_pwc():
     b = half_on_half_off().essential_bounds(0.0)
     assert (b.lower, b.upper) == (0.0, 2.0)

@@ -70,8 +70,8 @@ def test_validate_rejects_dip_in_the_shallower_grid_well():
 
 @pytest.mark.parametrize("scale", [1.0, 100.0])
 def test_validate_keeps_an_exact_zero_minimum_nonnegative(scale):
-    # min f = 0 exactly, at t = 1/2: the certified bound lies a few ulp of
-    # the scale below 0, inside the -1e-12 allowance of the nonnegative regime
+    # min f = 0 exactly, at t = 1/2: the certified bound lies about 3e-15
+    # times the scale below 0, inside the nonnegative regime's -1e-12 allowance
     system = IFSystem(0.0, TrigPolynomial(scale, [(1, scale, 0.0)]))
     assert validate(system) is Regime.NONNEG_PI
     assert -1e-12 < system.bounds.lower <= 0.0

@@ -29,7 +29,6 @@ from .firing import (
     firing_time,
     firing_times,
     iterate,
-    iterate_cumulative_pi,
     validate,
 )
 from .isi import (
@@ -118,7 +117,6 @@ __all__ = [
     "isi_density_pi",
     "isi_sequence",
     "iterate",
-    "iterate_cumulative_pi",
     "parse_signal",
     "perturbation_harness",
     "pi_conjugacy",

@@ -33,7 +33,7 @@ from .isi import (
     isi_sequence,
     perturbation_harness,
 )
-from .rotation import detect_locking, pi_rotation, rotation_enclosure, staircase_scan
+from .rotation import _orbit_cap, detect_locking, pi_rotation, rotation_enclosure, staircase_scan
 from .signals import parse_signal
 
 
@@ -174,6 +174,10 @@ def _merge(args) -> RunConfig:
     for name in _POSITIVE:
         if not getattr(cfg, name) > 0:
             raise UsageError(f"{name} must be > 0, got {getattr(cfg, name)!r}")
+    try:
+        _orbit_cap(cfg.rho_tol)  # the library's floor on rho_tol
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -334,7 +338,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     base = _system_from(cfg, cfg.signal, cfg.sigma)
     sigma2 = cfg.sigma if cfg.sigma2 is None else cfg.sigma2
     perturbed = _system_from(cfg, cfg.signal2, sigma2)
-    report = perturbation_harness(base, perturbed, orbit_len=cfg.n)
+    report = perturbation_harness(base, perturbed, orbit_len=cfg.n, t0=cfg.t0)
     payload = {
         "sup_phi_dev": _jnum(report.sup_phi_dev),
         "sup_dphi_dev": _jnum(report.sup_dphi_dev),

@@ -19,12 +19,11 @@ t.  Two regimes are supported:
 One solver loop, in :func:`_crossings`, finds every scalar crossing: a
 warm-started safeguarded Newton iteration on the signal's periodic
 antiderivative (:meth:`PeriodicSignal.kernel`), one pass of the loop per
-spike, used by :func:`firing_time`, :func:`iterate` and
-:func:`iterate_cumulative_pi`.  Its lane-wise copy on numpy arrays,
-:func:`_newton_batch`, serves :func:`firing_times`, the map on a whole grid
-of start times.  The one exception is a piecewise-constant drive with
-sigma = 0, whose crossings are found exactly, one lookup each, in the
-signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
+spike, used by :func:`firing_time` and :func:`iterate`.  Its lane-wise copy
+on numpy arrays, :func:`_newton_batch`, serves :func:`firing_times`, the map
+on a whole grid of start times.  The one exception is a piecewise-constant
+drive with sigma = 0, whose crossings are found exactly, one lookup each, in
+the signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
 
 Both accept a displacement d by one of three tests: a small residual, a
 bracket narrowed to the resolution ``width_tol`` of t + d, or the slope
@@ -161,12 +160,12 @@ class Orbit:
         return self.times - np.floor(self.times)
 
 
-def _max_displacement(system: IFSystem, threshold: float = 1.0) -> float:
+def _max_displacement(system: IFSystem) -> float:
     lo = system.bounds.lower
     if lo > _STRICT_TOL:
-        return threshold / lo + 1e-9
-    # nonneg PI: the threshold's mass arrives within ceil(threshold/mean)+1 periods
-    return threshold / system.signal.mean() + 2.0
+        return 1.0 / lo + 1e-9
+    # nonneg PI: the threshold's mass arrives within ceil(1/mean)+1 periods
+    return 1.0 / system.signal.mean() + 2.0
 
 
 def _min_slope(system: IFSystem) -> float:
@@ -307,15 +306,13 @@ def _psi_table(system: IFSystem) -> tuple:
     return system._psi
 
 
-def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) -> np.ndarray:
-    """n firing times from t0: the orbit, or with ``cumulative`` the crossings
-    of the thresholds 1..n by the input integrated from t0 (sigma = 0).
+def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
+    """The n firing times of the orbit from t0.
 
-    One pass of the spike loop is one lane of :func:`_newton_batch`, for the
-    threshold 1 or, cumulatively, i + 1, and returns Q(t + d) beside d for
-    the next spike.  An orbit step starts from the cubic Hermite interpolant
-    at t mod 1 of the table of :func:`_psi_table`, or at half the bound when
-    the table is empty; the crossing of threshold i + 1 starts from that of i.
+    One pass of the spike loop is one lane of :func:`_newton_batch`, and
+    returns Q(t + d) beside d for the next spike.  A step starts from the
+    cubic Hermite interpolant at t mod 1 of the table of :func:`_psi_table`,
+    or at half the bound when the table is empty.
     """
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
@@ -323,27 +320,17 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
         t = t0
         for i in range(n):
-            if cumulative:
-                times[i] = _pi_pwc_crossing(sig, t0, i + 1)
-            else:
-                t = times[i] = _pi_pwc_crossing(sig, t, 1)
+            t = times[i] = _pi_pwc_crossing(sig, t)
         return times
     kern, mean, slope = sig.kernel(sigma), sig.mean(), _min_slope(system)
     exp, log1p, inf = math.exp, math.log1p, math.inf
     snap = isinstance(sig, Sampled) and sigma == 0.0
-    psi, dpsi = (() if cumulative else _psi_table(system)) or (None, None)
-    dmax, threshold = _max_displacement(system), 1.0
+    psi, dpsi = _psi_table(system) or (None, None)
+    dmax = _max_displacement(system)
     floor = max(1e-15, 1e-15 * dmax)
     t, q0 = t0, kern(t0)[0]
     for i in range(n):
-        if cumulative:
-            threshold = float(i + 1)
-            dmax = _max_displacement(system, threshold)
-            floor = max(1e-15, 1e-15 * dmax)
-            # warm: the previous threshold's crossing lies about 1/mean short
-            if not (i and 0.0 < d < dmax):
-                d = 0.5 * dmax
-        elif psi:
+        if psi:
             x = t % 1.0 * _PSI_GRID
             # t % 1.0 is 1.0 for tiny negative t
             j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
@@ -369,13 +356,13 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
                     g = dg = inf
                     cand = -1.0
                 else:
-                    g = e * q1 - q0 - threshold
+                    g = e * q1 - q0 - 1.0
                     dg = (fx - sigma) * e
                     # Newton in exp(sigma*d), in which g is affine on every step piece
                     r = sigma * g / dg if dg > 0.0 else 1.0
                     cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
             else:
-                g = mean * d + q1 - q0 - threshold
+                g = mean * d + q1 - q0 - 1.0
                 dg = fx
                 cand = d - g / dg if dg > 0.0 else -1.0
             ag = abs(g)
@@ -409,19 +396,18 @@ def _crossings(system: IFSystem, t0: float, n: int, cumulative: bool = False) ->
                 f"bracket [{lo!r}, {hi!r}], residual {g:.3e}"
             )
         if snap:
-            y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - threshold)
+            y = _zero_run_start(sig, x, lambda u: mean * (u - t) + kern(u)[0] - q0 - 1.0)
             if y != x:
                 x, q1, d = y, kern(y)[0], y - t
         times[i] = x
-        if not cumulative:
-            t, q0 = x, q1
+        t, q0 = x, q1
     return times
 
 
-def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, m: int) -> float:
-    """Leftmost s with integral_t^s f >= m for sigma = 0, correctly rounded.
+def _pi_pwc_crossing(sig: PiecewiseConstant, t: float) -> float:
+    """Leftmost s with integral_t^s f >= 1 for sigma = 0, correctly rounded.
 
-    One lookup in the signal's exact prefix table: the target C(t) + m is
+    One lookup in the signal's exact prefix table: the target C(t) + 1 is
     k whole periods plus a remainder r, and the leftmost table entry that
     reaches r, across zero steps too, names the segment of the crossing.
     Running maxima ``tops`` keep it leftmost if a value is slightly negative:
@@ -431,7 +417,7 @@ def _pi_pwc_crossing(sig: PiecewiseConstant, t: float, m: int) -> float:
     e, c = sig._cumulative(t)
     bs, cs, tops = sig._table(e)
     excess = tops[-1] - cs[-1]
-    k, r = divmod(c + (m << (e + sig._vexp)) - 1 - excess, cs[-1])
+    k, r = divmod(c + (1 << (e + sig._vexp)) - 1 - excess, cs[-1])
     r += 1 + excess
     j = bisect_left(tops, r) - 1
     v = sig._ivalues[j]
@@ -454,7 +440,7 @@ def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
-        return np.array([_pi_pwc_crossing(sig, t, 1) for t in ts.tolist()])
+        return np.array([_pi_pwc_crossing(sig, t) for t in ts.tolist()])
     kern, mean = sig.kernel_array(sigma), sig.mean()
     q0 = kern(ts)[0]
     x = ts + _newton_batch(system, kern, ts, q0, d)
@@ -488,21 +474,6 @@ def iterate(system: IFSystem, t0: float, n: int) -> Orbit:
     if n < 1:
         raise ValueError("n must be >= 1")
     return Orbit(t0, _crossings(system, t0, n))
-
-
-def iterate_cumulative_pi(system: IFSystem, t0: float, n: int) -> Orbit:
-    """Perfect-integrator orbit via cumulative thresholds.
-
-    Uses Phi^m(t0) = inf{s : integral_t0^s f >= m} instead of iterating the
-    one-step map; both formulations must agree, which the tests check.
-    Only valid for sigma = 0.
-    """
-    if system.sigma != 0.0:
-        raise ValueError("cumulative iteration applies to sigma = 0 only")
-    system.regime  # validate
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Orbit(t0, _crossings(system, t0, n, cumulative=True))
 
 
 def derivative(system: IFSystem, t: float) -> float:

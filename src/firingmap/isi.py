@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     CriticalValueError,
-    IllPosedError,
     InsufficientDataError,
     NotDifferentiableError,
     RationalRotationError,
@@ -166,22 +164,11 @@ class EmpiricalDist:
     def mean(self) -> float:
         return float(self.samples.mean())
 
-    def std(self) -> float:
-        return float(self.samples.std())
-
-    def histogram(
-        self,
-        bins: int = 200,
-        lo: float | None = None,
-        hi: float | None = None,
-        bin_width: float | None = None,
-    ):
+    def histogram(self, bins: int = 200, lo: float | None = None, hi: float | None = None):
         """Counts over uniform bins; defaults to the sample range padded 1%.
 
-        Pass either a bin count or a bin width (the count is then derived
-        from the range).  Degenerate (atomic) sample ranges are widened so
-        the atom lands in a single occupied bin instead of breaking the
-        binning.
+        Degenerate (atomic) sample ranges are widened so the atom lands in a
+        single occupied bin instead of breaking the binning.
         """
         if lo is None or hi is None:
             s_lo, s_hi = float(self.samples[0]), float(self.samples[-1])
@@ -194,10 +181,6 @@ class EmpiricalDist:
                 pad = 0.01 * (s_hi - s_lo)
                 lo = s_lo - pad if lo is None else lo
                 hi = s_hi + pad if hi is None else hi
-        if bin_width is not None:
-            if bin_width <= 0:
-                raise ValueError("bin_width must be > 0")
-            bins = max(1, math.ceil((hi - lo) / bin_width))
         counts, edges = np.histogram(self.samples, bins=bins, range=(lo, hi))
         return edges, counts
 
@@ -238,12 +221,8 @@ def fortet_mourier(d1: EmpiricalDist, d2: EmpiricalDist) -> float:
 
 def pi_invariant_density(signal: PeriodicSignal, t: float) -> float:
     """Density f(t)/mean(f) of the invariant measure of the PI phase map."""
-    if signal.essential_bounds(0.0).lower < -1e-12:
-        raise IllPosedError("invariant density requires a nonnegative input")
-    m = signal.mean()
-    if m <= 0.0:
-        raise IllPosedError(f"mean input {m:.6g} <= 0")
-    return signal.eval(t) / m
+    IFSystem(0.0, signal).regime  # validates: f >= 0 a.e. with positive mean
+    return signal.eval(t) / signal.mean()
 
 
 def check_measure_invariance(signal: PeriodicSignal, intervals) -> float:
@@ -262,12 +241,12 @@ def check_measure_invariance(signal: PeriodicSignal, intervals) -> float:
     return worst
 
 
-def displacement_range(system: IFSystem, grid_size: int = 512) -> tuple[float, float]:
+def displacement_range(system: IFSystem) -> tuple[float, float]:
     """[min, max] of the displacement Psi over one period (strict regime).
 
-    Grid scan refined by golden-section search around the grid extrema.
+    A 512-point grid scan refined by golden-section search around the grid extrema.
     """
-    ts = np.arange(grid_size) / grid_size
+    ts = np.arange(512) / 512
     return _psi_extrema(system, ts, displacement(system, ts))
 
 
@@ -360,7 +339,6 @@ def _psi_roots(system: IFSystem, ts: np.ndarray, psi_grid: np.ndarray, ys: np.nd
 
 def isi_density_pi(
     signal: PeriodicSignal,
-    y_grid: Sequence[float] | None = None,
     root_grid_size: int = 2048,
     n_y: int = 512,
     q_max: int = 64,
@@ -374,7 +352,7 @@ def isi_density_pi(
 
     the invariant density transported through the displacement.  Requires a
     trigonometric-polynomial input and an irrational rotation number at
-    tolerance (locking raises :class:`RationalRotationError`).  The default
+    tolerance (locking raises :class:`RationalRotationError`).  The n_y-point
     y grid is cosine-spaced inside the open range, so the integrable
     inverse-square-root singularities at the endpoints are resolved.
     """
@@ -410,11 +388,9 @@ def isi_density_pi(
             crit_vals.append(displacement(system, tc))
     crit_vals = np.array(sorted(set(crit_vals)))
 
-    if y_grid is None:
-        pad = 1e-9 * width
-        theta = np.linspace(0.0, math.pi, n_y)
-        y_grid = (lo + pad) + 0.5 * (width - 2 * pad) * (1.0 - np.cos(theta))
-    ys = np.asarray(y_grid, dtype=float)
+    pad = 1e-9 * width
+    theta = np.linspace(0.0, math.pi, n_y)
+    ys = (lo + pad) + 0.5 * (width - 2 * pad) * (1.0 - np.cos(theta))
 
     inside = (ys >= lo) & (ys <= hi)
     k = np.clip(np.searchsorted(crit_vals, ys), 1, crit_vals.size - 1)

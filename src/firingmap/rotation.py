@@ -65,12 +65,8 @@ class LockingResult:
     p: int
     q: int
     residual: float
-    status: str | None = None  # None: "locked" or "undecided", as ``locked`` says
+    status: str
     margin: float = 0.0
-
-    def __post_init__(self):
-        if self.status is None:
-            object.__setattr__(self, "status", "locked" if self.locked else "undecided")
 
 
 def rotation_number(system: IFSystem, t0: float, n: int) -> RotationEstimate:
@@ -106,12 +102,8 @@ def pi_conjugacy(signal: PeriodicSignal, t: float) -> float:
     Gamma(t) = integral_0^t f / integral_0^1 f; increasing, Gamma(0) = 0 and
     Gamma(t+1) = Gamma(t) + 1.  Requires f >= 0 a.e. with positive mean.
     """
-    if signal.essential_bounds(0.0).lower < -1e-12:
-        raise IllPosedError("conjugacy formula requires a nonnegative input")
-    m = signal.mean()
-    if m <= 0.0:
-        raise IllPosedError(f"mean input {m:.6g} <= 0")
-    return signal.integral(0.0, t) / m
+    IFSystem(0.0, signal).regime  # validates
+    return signal.integral(0.0, t) / signal.mean()
 
 
 def best_rational(x: float, q_max: int) -> tuple[int, int]:
@@ -141,6 +133,15 @@ def _phi_power(system: IFSystem, t: float, q: int) -> float:
 
 _ORBIT_SPIKES = 1024  # length of the first certificate orbit
 _GRID_SIZE = 64  # grid of a mediant the orbit cannot place
+_MIN_RHO_TOL = 2.0 ** -22  # the least rho_tol: an orbit of at most 4,194,304 spikes
+
+
+def _orbit_cap(rho_tol: float) -> int:
+    """The certificate orbit's cap ceil(1/rho_tol); refuses rho_tol below 2**-22."""
+    if not rho_tol >= _MIN_RHO_TOL:
+        raise ValueError(f"rho_tol must be >= 2**-22, which caps the orbit at "
+                         f"{math.ceil(1.0 / _MIN_RHO_TOL):,} spikes; got {rho_tol!r}")
+    return max(1, math.ceil(1.0 / rho_tol))
 
 
 def _slack(q: int, t_max: float, dmax: float) -> float:
@@ -276,7 +277,8 @@ def _certify(
             gridded = True
             side, margin, residual = _grid_test(system, m, n, residual_tol)
             if side == 0:  # a sign change without a zero is a jump of Phi^q: undecided
-                result = LockingResult(residual < residual_tol, m, n, residual)
+                locked = residual < residual_tol
+                result = LockingResult(locked, m, n, residual, "locked" if locked else "undecided")
                 if result.locked and margin > 0.0:  # a proof: rho = m/n
                     lo = hi = (m, n)
                     break
@@ -357,9 +359,10 @@ def detect_locking(
     Phi^n, not a witness.  Failing both, the orbit doubles: ``rho_tol``
     caps it at ``ceil(1/rho_tol)`` spikes, and an orbit whose phases
     repeat stops at once; either way the result is ``undecided``.
-    A nearly rational estimate alone never counts as locking.
+    A nearly rational estimate alone never counts as locking.  A ``rho_tol``
+    below 2**-22 raises :class:`ValueError` before any spike is computed.
     """
-    max_spikes = max(1, math.ceil(1.0 / rho_tol))
+    max_spikes = _orbit_cap(rho_tol)
     orbit = iterate(system, 0.0, min(_ORBIT_SPIKES, max_spikes))
     return _certify(system, orbit, max_spikes, q_max, residual_tol)[1]
 
@@ -375,12 +378,12 @@ def rotation_enclosure(
 
     The walk of :func:`detect_locking` (whose result it gives from t0 = 0) goes on past
     q_max until the Farey bracket a/b < rho < c/d has half-width at most ``rho_tol``,
-    doubling the orbit up to ``ceil(1/rho_tol)`` spikes.  The estimate is the midpoint and
-    half-width of that bracket intersected with the orbit's (t_n - t_0)/n +- 1/n, so
-    ``error_bound <= rho_tol``; or p/q with bound 0 when a grid sign change of the
-    continuous Phi^q - Id - p proves a periodic orbit.
+    doubling the orbit up to ``ceil(1/rho_tol)`` spikes (``rho_tol`` >= 2**-22, as there).
+    The estimate is the midpoint and half-width of that bracket intersected with the
+    orbit's (t_n - t_0)/n +- 1/n, so ``error_bound <= rho_tol``; or p/q with bound 0 when
+    a grid sign change of the continuous Phi^q - Id - p proves a periodic orbit.
     """
-    max_spikes = max(1, math.ceil(1.0 / rho_tol))
+    max_spikes = _orbit_cap(rho_tol)
     orbit = iterate(system, t0, min(_ORBIT_SPIKES, max_spikes))
     return _certify(system, orbit, max_spikes, q_max, residual_tol, rho_tol)
 

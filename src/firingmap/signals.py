@@ -112,9 +112,9 @@ class PeriodicSignal(ABC):
     def weighted_integral_scaled(self, sigma: float, t: float, delta: float) -> float:
         """Integral of [f(u) - sigma] * exp(sigma*(u - t)) over [t, t + delta].
 
-        This is exp(-sigma*t) times :meth:`weighted_integral` and stays
-        finite for arbitrarily large t, which is what the firing-time solver
-        needs.
+        This is exp(-sigma*t) times the integral of [f(u) - sigma] *
+        exp(sigma*u) and stays finite for arbitrarily large t, which is what
+        the firing-time solver needs.
         """
         if sigma == 0.0:
             return self.integral(t, t + delta)
@@ -131,14 +131,6 @@ class PeriodicSignal(ABC):
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
-
-    def weighted_integral(self, sigma: float, a: float, b: float) -> float:
-        """Integral of [f(u) - sigma] * exp(sigma*u) over [a, b] (a <= b)."""
-        if b < a:
-            raise ValueError("weighted_integral requires a <= b")
-        if sigma == 0.0:
-            return self.integral(a, b)
-        return math.exp(sigma * a) * self.weighted_integral_scaled(sigma, a, b - a)
 
     def mean(self) -> float:
         """Average of f over one period."""

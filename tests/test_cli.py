@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from firingmap import IFSystem, parse_signal, perturbation_harness
 from firingmap.cli import main
 
 from helpers import count_rotation_spikes
@@ -297,10 +298,12 @@ def test_config_missing_file(capsys):
     ("[run]\nburn_in = -5\n", ["burn_in must be >= 0"]),
     ("[tolerances]\nq_max = 0\n", ["q_max must be >= 1"]),
     ("[tolerances]\nrho_tol = 0\n", ["rho_tol must be > 0"]),
+    # below 2**-22 the orbit cap ceil(1/rho_tol) would exceed 4,194,304 spikes
+    ("[tolerances]\nrho_tol = 1e-9\n", ["rho_tol must be >= 2**-22", "4,194,304 spikes"]),
     ("[tolerances]\nresidual_tol = -1e-8\n", ["residual_tol must be > 0"]),
 ], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float",
         "n-zero", "bins-zero", "q-zero", "eps-negative", "burn-in-negative", "q-max-zero",
-        "rho-tol-zero", "residual-tol-negative"])
+        "rho-tol-zero", "rho-tol-below-floor", "residual-tol-negative"])
 def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(body)
@@ -318,6 +321,7 @@ def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, na
     ("--eps", "-1", "eps must be > 0"),
     ("--burn-in", "-5", "burn_in must be >= 0"),
     ("--tol", "0", "rho_tol must be > 0"),
+    ("--tol", "1e-9", "rho_tol must be >= 2**-22, which caps the orbit at 4,194,304 spikes"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, flag, value, named):
     out_csv = tmp_path / "h.csv"
@@ -354,6 +358,21 @@ def test_twelve_significant_digits(capsys):
     row = out.strip().splitlines()[1]
     time_str = row.split(",")[1]
     assert time_str == f"{math.log(2.0):.12g}"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_compare_starts_the_orbits_at_t0(capsys, tmp_path, source):
+    base = IFSystem(1.0, parse_signal("trig:2;1,0.5,0"))
+    perturbed = IFSystem(1.0, parse_signal("trig:2;1,0.54,0"))
+    cfg = tmp_path / "cmp.ini"
+    cfg.write_text("[run]\nt0 = 0.37\n")
+    start = ["--t0", "0.37"] if source == "flag" else ["--config", str(cfg)]
+    code, out, _ = run_cli(capsys, "compare", "--sigma", "1", "--signal", "trig:2;1,0.5,0",
+                           "--signal2", "trig:2;1,0.54,0", "--n", "3000", *start)
+    assert code == 0
+    want = perturbation_harness(base, perturbed, orbit_len=3000, t0=0.37).d_f_isi
+    assert json.loads(out)["d_F_isi"] == float(f"{want:.12g}")
+    assert want != perturbation_harness(base, perturbed, orbit_len=3000).d_f_isi
 
 
 def test_compare_with_config_perturbed_section(capsys, tmp_path):

@@ -23,11 +23,17 @@ from firingmap import (
     firing_time,
     firing_times,
     iterate,
-    iterate_cumulative_pi,
     validate,
 )
 
-from helpers import cosine_lif, pi_half_on, pwc_crossing_oracle, translation_lif
+from helpers import (
+    cosine_lif,
+    half_on_half_off,
+    pi_half_on,
+    pwc_crossing_oracle,
+    pwc_cumulative_oracle,
+    translation_lif,
+)
 
 
 def test_validate_strict():
@@ -116,25 +122,28 @@ def test_iterate_half_on_half_off():
 
 
 def test_pi_cumulative_formulation_agrees():
-    pwc = pi_half_on()
-    smooth = IFSystem(0.0, TrigPolynomial(2.0, [(1, 1.0, 0.0)]))
-    for system, t0 in [(pwc, 0.0), (pwc, 0.3), (smooth, 0.0), (smooth, 0.71)]:
-        a = iterate(system, t0, 12).times
-        b = iterate_cumulative_pi(system, t0, 12).times
-        assert np.max(np.abs(a - b)) < 1e-9
+    # for sigma = 0, Phi^m(t0) is where the input integrated from t0 reaches m
+    m = np.arange(1, 201)
+    # dyadic steps and starts: every crossing is a float, so the identity is exact
+    dyadic = PiecewiseConstant([0.0, 0.25, 0.625], [4.0, 0.5, 1.0])
+    for sig, t0 in [(half_on_half_off(), 0.0), (half_on_half_off(), 0.25), (dyadic, 0.125)]:
+        times = iterate(IFSystem(0.0, sig), t0, m.size).times
+        c0 = pwc_cumulative_oracle(sig, Fraction(t0))
+        assert [pwc_cumulative_oracle(sig, Fraction(t)) - c0 for t in times.tolist()] == m.tolist()
+    strict, nonneg = TrigPolynomial(2.0, [(1, 1.0, 0.0)]), TrigPolynomial(1.0, [(1, 1.0, 0.0)])
+    for sig, t0 in [(strict, 0.0), (strict, 0.71), (nonneg, 0.0), (nonneg, 0.3)]:
+        times = iterate(IFSystem(0.0, sig), t0, m.size).times
+        assert np.max(np.abs([sig.integral(t0, t) for t in times.tolist()] - m)) < 1e-9
 
 
 def test_pi_step_cumulative_thresholds_exact():
-    # one table lookup per threshold: 2,000 thresholds cost milliseconds
+    # one table lookup per spike: each is the correctly rounded crossing from the float before
     sig = PiecewiseConstant([0.0, 0.4], [2.6, 0.5])
-    system = IFSystem(0.0, sig)
-    got = iterate_cumulative_pi(system, 0.3, 2000).times
-    want, x = [], Fraction(0.3)
+    want, x = [], 0.3
     for _ in range(2000):
-        x = pwc_crossing_oracle(sig, x, 1)  # exact, so the chain is the cumulative crossing
-        want.append(float(x))
-    assert got.tolist() == want
-    assert np.max(np.abs(got - iterate(system, 0.3, 2000).times)) < 1e-10
+        x = float(pwc_crossing_oracle(sig, Fraction(x), 1))
+        want.append(x)
+    assert iterate(IFSystem(0.0, sig), 0.3, 2000).times.tolist() == want
 
 
 def test_pi_step_slightly_negative_value_stays_leftmost():
@@ -351,8 +360,6 @@ def test_derivative_pwc_at_continuous_points():
 def test_iterate_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         iterate(translation_lif(1), 0.0, 0)
-    with pytest.raises(ValueError):
-        iterate_cumulative_pi(pi_half_on(), 0.0, 0)
 
 
 def test_check_lift_nonneg_pi_trig():
@@ -459,20 +466,6 @@ def test_far_orbit_certificate_saves_kernel_evaluations(name):
     calls = _count_kernel_calls(system)
     iterate(system, 5e4 + 0.1, 3000)
     assert calls[0] <= 1.5 * 3000
-
-
-@pytest.mark.parametrize("make, per_threshold", [
-    (lambda: IFSystem(0.0, TrigPolynomial(1.0, [(1, 1.0, 0.0)])), 13.0),
-    (ORBIT_SYSTEMS["trig-strict-pi"], 6.5),
-], ids=["nonneg-trig-pi", "trig-strict-pi"])
-def test_cumulative_crossings_start_from_the_previous_one(make, per_threshold):
-    # the crossing of threshold i + 1 lies about 1/mean past that of i; a cold
-    # start at half the bound, ~(i + 1)/(2 lower) away, costs 17 and 8
-    # evaluations per threshold on these drives
-    system = make()
-    calls = _count_kernel_calls(system)
-    iterate_cumulative_pi(system, 0.1, 2000)
-    assert calls[0] <= per_threshold * 2000
 
 
 def _near_marginal():

@@ -309,12 +309,3 @@ def test_empirical_cdf_right_continuous():
     assert dist.cdf(np.nextafter(2.0, 0.0)) == 0.25
     assert dist.cdf(0.0) == 0.0
     assert dist.cdf(99.0) == 1.0
-
-
-def test_histogram_bin_width():
-    dist = EmpiricalDist(np.linspace(0.0, 1.0, 101))
-    edges, counts = dist.histogram(bin_width=0.25, lo=0.0, hi=1.0)
-    assert len(counts) == 4
-    assert counts.sum() == 101
-    with pytest.raises(ValueError):
-        dist.histogram(bin_width=-1.0)

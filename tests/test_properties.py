@@ -6,11 +6,12 @@ drives cover every signal kind; the batched map is also checked on perfect
 integrators (sigma = 0) with trigonometric drives.  Step-drive perfect
 integrators, zero steps included, must match the exact rational oracle of
 ``helpers`` bit for bit.  The essential bounds of arbitrary trigonometric
-drives must match the extremum oracle of ``helpers`` to rounding and enclose
-the 40-digit values of f at its local extrema.
+drives must match the extremum oracle of ``helpers`` to rounding, move by
+sigma alone, and enclose the 40-digit values of f at its local extrema.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from firingmap import (
+    EssentialBounds,
     IFSystem,
     PiecewiseConstant,
     Sampled,
@@ -28,7 +30,6 @@ from firingmap import (
     firing_time,
     firing_times,
     iterate,
-    iterate_cumulative_pi,
     parse_signal,
     pi_rotation,
     rotation_enclosure,
@@ -268,9 +269,12 @@ pi_step_cases = pi_step_drives().flatmap(lambda sig: st.tuples(st.just(sig), pi_
 def test_pi_step_firing_time_and_cumulative_match_oracle(case):
     sig, t = case
     system = IFSystem(0.0, sig)
-    want = [float(pwc_crossing_oracle(sig, t, m)) for m in range(1, 6)]
+    want, x = [], t  # each spike is the correctly rounded crossing from the float before
+    for _ in range(5):
+        x = float(pwc_crossing_oracle(sig, Fraction(x), 1))
+        want.append(x)
     assert firing_time(system, t) == want[0]
-    assert iterate_cumulative_pi(system, t, 5).times.tolist() == want
+    assert iterate(system, t, 5).times.tolist() == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -321,9 +325,11 @@ def any_trig_drives(draw):
 def test_trig_essential_bounds_match_oracle(sig, sigma):
     lo, hi = trig_extrema_oracle(sig)
     tol = 1e-13 * (abs(sig.a0) + sum(math.hypot(c, s) for _, c, s in sig.harmonics))
-    b = sig.essential_bounds(sigma)
-    assert b.lower == pytest.approx(lo - sigma, abs=tol)
+    b = sig.essential_bounds(0.0)
+    assert b.lower == pytest.approx(lo, abs=tol)
     assert b.upper == pytest.approx(hi, abs=tol)
+    # sigma only shifts the lower bound, by one rounding
+    assert sig.essential_bounds(sigma) == EssentialBounds(b.lower - sigma, b.upper)
 
 
 @settings(max_examples=100, deadline=None)

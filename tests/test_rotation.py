@@ -175,6 +175,20 @@ def test_detect_locking_spikes_capped_by_rho_tol(monkeypatch, rho_tol):
     assert sum(spikes) == math.ceil(1.0 / rho_tol)
 
 
+def test_rho_tol_below_the_floor_is_refused_before_any_orbit(monkeypatch):
+    # rho_tol = 1e-9 would cap the orbit at 10^9 spikes, 8 GB of times
+    def no_orbit(*args):
+        raise AssertionError("an orbit was computed")
+
+    monkeypatch.setattr(rotation, "iterate", no_orbit)
+    for run in (detect_locking, rotation_enclosure):
+        with pytest.raises(ValueError, match="4,194,304 spikes"):
+            run(cosine_lif(0.45), rho_tol=1e-9)
+    assert rotation._orbit_cap(2.0 ** -22) == 4_194_304
+    with pytest.raises(ValueError):
+        rotation._orbit_cap(math.nextafter(2.0 ** -22, 0.0))
+
+
 def test_detect_locking_settled_orbit_stops_early(monkeypatch):
     # a grid that never decides leaves the 7/10 mediant of a locked system
     # open; its orbit has settled on the 10-cycle, so doubling adds nothing

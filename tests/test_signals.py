@@ -43,10 +43,15 @@ def test_empty_interval_integral():
         assert sig.integral(0.7, 0.7) == 0.0
 
 
+def _weighted(sig, sigma, a, b):
+    """Integral of [f(u) - sigma] exp(sigma*u) over [a, b], from the scaled form."""
+    return math.exp(sigma * a) * sig.weighted_integral_scaled(sigma, a, b - a)
+
+
 def test_weighted_integral_sigma_zero_degenerates():
     sig = TrigPolynomial(2.0, [(1, 0.5, 0.1)])
-    for a, b in [(0.0, 1.0), (0.2, 2.7), (-1.3, 0.4)]:
-        assert sig.weighted_integral(0.0, a, b) == sig.integral(a, b)
+    for t, delta in [(0.0, 1.0), (0.2, 2.5), (-1.3, 1.7)]:
+        assert sig.weighted_integral_scaled(0.0, t, delta) == sig.integral(t, t + delta)
 
 
 def test_weighted_integral_constant_closed_form():
@@ -54,13 +59,13 @@ def test_weighted_integral_constant_closed_form():
     sig = constant(c)
     for a, b in [(0.0, 1.0), (0.3, 1.9), (-0.5, 0.25)]:
         expected = (c - sigma) * (math.exp(sigma * b) - math.exp(sigma * a)) / sigma
-        got = sig.weighted_integral(sigma, a, b)
+        got = _weighted(sig, sigma, a, b)
         assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_weighted_integral_trig_vs_quadrature():
     sig = TrigPolynomial(2.0, [(1, 0.8, 0.0)])
-    got = sig.weighted_integral(1.0, 0.0, 1.0)
+    got = _weighted(sig, 1.0, 0.0, 1.0)
     oracle, _ = quad(lambda u: (sig.eval(u) - 1.0) * math.exp(u), 0.0, 1.0,
                      epsabs=1e-14, epsrel=1e-14)
     assert got == pytest.approx(oracle, rel=1e-12)
@@ -95,7 +100,7 @@ def test_closed_forms_vs_quadrature_random_intervals():
                 lambda u: (sig.eval(u) - sigma) * math.exp(sigma * u),
                 a, b, epsabs=1e-13, epsrel=1e-13, limit=200, points=pts,
             )
-            assert sig.weighted_integral(sigma, a, b) == pytest.approx(
+            assert _weighted(sig, sigma, a, b) == pytest.approx(
                 weighted, rel=1e-10, abs=1e-10
             )
 
@@ -130,8 +135,8 @@ def test_weighted_shift_identity():
     for _ in range(100):
         a = float(rng.uniform(-2, 2))
         b = a + float(rng.uniform(0, 2))
-        lhs = sig.weighted_integral(sigma, a + 1.0, b + 1.0)
-        rhs = math.exp(sigma) * sig.weighted_integral(sigma, a, b)
+        lhs = _weighted(sig, sigma, a + 1.0, b + 1.0)
+        rhs = math.exp(sigma) * _weighted(sig, sigma, a, b)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
@@ -185,7 +190,7 @@ def test_sampled_weighted_vs_quadrature():
         lambda u: (sig.eval(u) - 0.5) * math.exp(0.5 * u), 0.2, 1.7,
         epsabs=1e-12, limit=400,
     )
-    assert sig.weighted_integral(0.5, 0.2, 1.7) == pytest.approx(oracle, rel=1e-7)
+    assert _weighted(sig, 0.5, 0.2, 1.7) == pytest.approx(oracle, rel=1e-7)
 
 
 def test_constructor_validation():

@@ -21,7 +21,6 @@ from .errors import FiringMapError, IllPosedError, LockedError
 from .firing import (
     _RESIDUAL_TOL,
     IFSystem,
-    Orbit,
     Regime,
     _max_displacement,
     firing_time,
@@ -77,14 +76,7 @@ def rotation_number(system: IFSystem, t0: float, n: int) -> RotationEstimate:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _orbit_estimate(iterate(system, t0, n))
-
-
-def _orbit_estimate(orbit: Orbit) -> RotationEstimate:
-    """(t_n - t_0)/n of an n-spike orbit, with its bound 1/n."""
-    n = len(orbit)
-    value = (float(orbit.times[-1]) - orbit.t0) / n
-    return RotationEstimate(value, 1.0 / n, n)
+    return RotationEstimate((float(iterate(system, t0, n).times[-1]) - t0) / n, 1.0 / n, n)
 
 
 def pi_rotation(signal: PeriodicSignal) -> RotationEstimate:
@@ -226,33 +218,32 @@ def _weighted_mean(x: np.ndarray) -> float:
 
 def _certify(
     system: IFSystem,
-    orbit: Orbit,
+    t0: float,
     max_spikes: int,
     q_max: int,
     residual_tol: float,
     width: float = 0.0,
 ) -> tuple[RotationEstimate, LockingResult]:
-    """Locking test and enclosure from an orbit's first 1024 spikes, doubled up to ``max_spikes``.
+    """Locking test and enclosure from a 1024-spike orbit from t0, doubled up to ``max_spikes``.
 
     Walks the Stern-Brocot tree, from the integers next to the weighted Birkhoff
     estimate of rho, down to Farey neighbours a/b < rho < c/d with b + d > q_max.
     Each mediant m/n is placed by the orbit's monotone bounds (:func:`_monotone_bounds`
     on v_k = t_{k+n} - t_k - m at the sorted phases), which must clear :func:`_slack`.
     A mediant they leave open gets :func:`_grid_test`: a zero witness ends the walk,
-    certified grid bounds continue it, and otherwise the orbit doubles, taking the given
-    orbit's further spikes before iterating new ones.  The result is ``undecided`` at
-    ``max_spikes``, or once the orbit has settled: when two of its phases lie within one
-    step's error allowance, further spikes add no phases the orbit has not already placed.
+    certified grid bounds continue it, and otherwise the orbit doubles, iterating on
+    from its last spike.  The result is ``undecided`` at ``max_spikes``, or once the
+    orbit has settled: when two of its phases lie within one step's error allowance,
+    further spikes add no phases the orbit has not already placed.
 
     With ``width > 0`` the walk goes on past that result, by the orbit's bounds alone, until
     the bracket's half-width is at most ``width``; a run of mediants on one side gallops
     (2, 4, ... steps per trial, halved on a miss).  Returns the estimate and the result.
     """
-    later = orbit.times  # spikes 1, 2, ... available for doubling
+    spikes = min(_ORBIT_SPIKES, max_spikes)
+    times = np.concatenate([[t0], iterate(system, t0, spikes).times])
     dmax = _max_displacement(system)
     lo = hi = None  # certified Farey neighbours (m, n, margin, residual) below and above rho
-    spikes = min(_ORBIT_SPIKES, len(orbit), max_spikes)
-    times = np.concatenate([[orbit.t0], later[:spikes]])
     rho = _weighted_mean(np.diff(times))
     m, n = math.floor(rho), 1
     order, gridded, result = None, False, None
@@ -295,10 +286,8 @@ def _certify(
             if result is not None and (spikes >= max_spikes or not width):
                 break
             spikes = min(2 * spikes, max_spikes)
-            if spikes > later.size:
-                more = iterate(system, float(later[-1]), spikes - later.size)
-                later = np.concatenate([later, more.times])
-            times = np.concatenate([[orbit.t0], later[:spikes]])
+            more = iterate(system, float(times[-1]), spikes + 1 - times.size)
+            times = np.concatenate([times, more.times])
             rho, order = _weighted_mean(np.diff(times)), None
             continue
         else:
@@ -362,9 +351,7 @@ def detect_locking(
     A nearly rational estimate alone never counts as locking.  A ``rho_tol``
     below 2**-22 raises :class:`ValueError` before any spike is computed.
     """
-    max_spikes = _orbit_cap(rho_tol)
-    orbit = iterate(system, 0.0, min(_ORBIT_SPIKES, max_spikes))
-    return _certify(system, orbit, max_spikes, q_max, residual_tol)[1]
+    return _certify(system, 0.0, _orbit_cap(rho_tol), q_max, residual_tol)[1]
 
 
 def rotation_enclosure(
@@ -383,9 +370,7 @@ def rotation_enclosure(
     orbit's (t_n - t_0)/n +- 1/n, so ``error_bound <= rho_tol``; or p/q with bound 0 when
     a grid sign change of the continuous Phi^q - Id - p proves a periodic orbit.
     """
-    max_spikes = _orbit_cap(rho_tol)
-    orbit = iterate(system, t0, min(_ORBIT_SPIKES, max_spikes))
-    return _certify(system, orbit, max_spikes, q_max, residual_tol, rho_tol)
+    return _certify(system, t0, _orbit_cap(rho_tol), q_max, residual_tol, rho_tol)
 
 
 @dataclass(frozen=True)
@@ -406,18 +391,18 @@ def staircase_scan(
     q_max: int = 64,
     residual_tol: float = 1e-8,
 ) -> list[ScanPoint]:
-    """Rotation number and locking test across a parameter grid.
+    """Certified rotation-number interval and locking test across a parameter grid.
 
+    Each point runs :func:`rotation_enclosure`'s walk from t0 on at most n spikes, down to
+    a half-width of 1/n: ``error_bound <= 1/n``, or 0 when a grid sign change proves p/q.
     Each grid point is independent; failures are recorded per point and the
     scan continues.  Output order follows the input grid.
     """
     out = []
     for param in param_grid:
         try:
-            system = family(float(param))
-            orbit = iterate(system, t0, n)
-            locking = _certify(system, orbit, n, q_max, residual_tol)[1]
-            out.append(ScanPoint(float(param), _orbit_estimate(orbit), locking))
+            est, locking = _certify(family(float(param)), t0, n, q_max, residual_tol, 1.0 / n)
+            out.append(ScanPoint(float(param), est, locking))
         except FiringMapError as exc:
             out.append(ScanPoint(float(param), None, None, error=str(exc)))
     return out

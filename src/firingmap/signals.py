@@ -197,7 +197,9 @@ class TrigPolynomial(PeriodicSignal):
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         if not self.harmonics:
             return EssentialBounds(self.a0 - sigma, self.a0)
-        lo, hi = self._extrema()
+        if "_extrema_memo" not in self.__dict__:  # the search runs once per signal
+            self._extrema_memo = self._extrema()
+        lo, hi = self._extrema_memo
         return EssentialBounds(lo - sigma, hi)
 
     def _extrema(self) -> tuple[float, float]:

@@ -155,6 +155,43 @@ def trig_value_mp(sig, x: float, dps: int = 40):
                                         for k, c, s in sig.harmonics)
 
 
+def mp_weighted_integral(sig, sigma: float, a, b, dps: int = 30):
+    """Integral of (f(u) - sigma) exp(sigma u) over [a, b] to ``dps`` digits.
+
+    ``mpmath.quad`` piece by piece, split where f is not smooth: at the
+    breakpoints of a step drive and the grid nodes j/n of a sampled one.
+    a and b are taken exactly; sigma = 0 gives the plain integral of f.
+    f(u, mid) is f at u on the piece around mid.
+    """
+    with mpmath.workdps(dps):
+        a, b, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(sigma)
+        if isinstance(sig, TrigPolynomial):
+            knots = []
+
+            def f(u, mid):
+                return trig_value_mp(sig, u, dps)
+        elif isinstance(sig, PiecewiseConstant):
+            knots = [mpmath.mpf(x) for x in sig.breakpoints]
+
+            def f(u, mid):  # the step holding mid, away from the jumps at the piece's ends
+                return float(sig.values[bisect_right(sig.breakpoints, float(mid % 1)) - 1])
+        else:
+            n = len(sig.values)
+            knots = [mpmath.mpf(j) / n for j in range(n)]
+
+            def f(u, mid):  # continuous and 1-periodic, so right even where u % 1 rounds to 1
+                x = (u % 1) * n
+                j = int(mpmath.floor(x))
+                v0, v1 = float(sig.values[j % n]), float(sig.values[(j + 1) % n])
+                return v0 + (v1 - v0) * (x - j)
+        nodes = [a] + [k + x for k in range(math.floor(a), math.floor(b) + 1)
+                       for x in knots if a < k + x < b] + [b]
+        return mpmath.fsum(
+            mpmath.quad(lambda u, m=(lo + hi) / 2: (f(u, m) - s) * mpmath.exp(s * u), [lo, hi])
+            for lo, hi in zip(nodes, nodes[1:])
+        )
+
+
 def threshold_gap(sig, sigma: float, t: float, x: float, dps: int = 40):
     """v(x) - 1 to ``dps`` digits, for the potential reset to 0 at t of a
     leaky system (sigma > 0), v(x) = integral_t^x f(u) exp(-sigma (x - u)) du.

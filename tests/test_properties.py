@@ -38,6 +38,7 @@ from firingmap import (
 
 from helpers import (
     half_on_half_off,
+    mp_weighted_integral,
     pwc_crossing_oracle,
     pwc_integral_oracle,
     threshold_gap,
@@ -204,31 +205,14 @@ def test_far_spikes_meet_the_threshold(system, t0):
         assert abs(gap) <= (f - sigma) * (0.5 * 8e-16 * abs(t) + 0.5 * ulp)
 
 
-def _mp_sampled_weighted(values, sigma, t, delta):
-    # integral of (f - sigma) exp(sigma (u - t)) over [t, t + delta], piece by piece
-    n = len(values)
-    nodes = [t] + [j / mpmath.mpf(n) for j in range(math.floor(t * n) + 1, math.ceil((t + delta) * n))]
-    nodes.append(mpmath.mpf(t) + mpmath.mpf(delta))
-
-    def f(u):
-        x = (u - mpmath.floor(u)) * n
-        j = int(mpmath.floor(x))
-        th = x - j
-        return values[j % n] + (values[(j + 1) % n] - values[j % n]) * th
-
-    total = mpmath.mpf(0)
-    for a, b in zip(nodes, nodes[1:]):
-        total += mpmath.quad(lambda u: (f(u) - sigma) * mpmath.exp(sigma * (u - t)), [a, b])
-    return total
-
-
 @settings(max_examples=30, deadline=None)
 @given(sigmas, st.lists(levels, min_size=2, max_size=12), st.floats(-5.0, 5.0), st.floats(0.05, 3.0))
 def test_sampled_weighted_integral_exact(sigma, levels_, t, delta):
     values = [sigma + v for v in levels_]
     got = Sampled(values).weighted_integral_scaled(sigma, t, delta)
-    with mpmath.workdps(30):
-        ref = _mp_sampled_weighted(values, sigma, t, delta)
+    with mpmath.workdps(30):  # of (f - sigma) exp(sigma (u - t)) over [t, t + delta]
+        ref = mpmath.exp(-sigma * mpmath.mpf(t)) * mp_weighted_integral(
+            Sampled(values), sigma, t, mpmath.mpf(t) + mpmath.mpf(delta))
     assert got == pytest.approx(float(ref), rel=1e-12)
 
 

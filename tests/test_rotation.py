@@ -68,6 +68,17 @@ def test_pi_conjugacy_cosine_closed_form():
         expected = t + math.sin(2 * math.pi * t) / (4 * math.pi)
         assert pi_conjugacy(sig, t) == pytest.approx(expected, abs=1e-14)
     assert pi_conjugacy(sig, 0.0) == 0.0
+
+
+def test_pi_conjugacy_searches_the_bounds_once(monkeypatch):
+    # every call validates the drive; the certified essential-bounds search behind
+    # that runs once per signal, not once per point of a conjugacy grid
+    calls, search = [], TrigPolynomial._extrema
+    monkeypatch.setattr(TrigPolynomial, "_extrema", lambda sig: calls.append(1) or search(sig))
+    sig = TrigPolynomial(2.0, [(1, 1.0, 0.0), (3, 0.2, 0.1)])
+    gamma = [pi_conjugacy(sig, float(t)) for t in np.linspace(0.0, 1.0, 100)]
+    assert len(calls) == 1
+    assert gamma[0] == 0.0 and gamma[-1] == pytest.approx(1.0, abs=1e-14)
     assert pi_conjugacy(sig, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -252,11 +263,21 @@ def test_rotation_enclosure_gallops_near_a_rational(monkeypatch):
 
 
 def test_staircase_runs_one_orbit_per_param(monkeypatch):
+    # each point is detect_locking's walk on one orbit from t0, grown by doubling up
+    # to n spikes: a certified interval of half-width at most 1/n, or p/q proved
+    n = 3000
     spikes = count_rotation_spikes(monkeypatch)
-    points = staircase_scan(cosine_lif, [0.25, BETA_LOCKED_7_10], n=3000)
-    assert spikes == [3000, 3000]
-    assert [pt.locking.status for pt in points] == ["unlocked", "locked"]
-    assert points[0].estimate == rotation_number(cosine_lif(0.25), 0.0, 3000)
+    for beta in (0.25, BETA_LOCKED_7_10):
+        spikes.clear()
+        (pt,) = staircase_scan(cosine_lif, [beta], n=n)
+        assert 0 < sum(spikes) <= n
+        system = cosine_lif(beta)
+        assert pt.locking == detect_locking(system)
+        assert pt.estimate.error_bound <= 1.0 / n
+        orbit = rotation_number(system, 0.0, n)
+        assert abs(pt.estimate.value - orbit.value) <= pt.estimate.error_bound + orbit.error_bound
+    assert pt.locking.status == "locked"
+    assert (pt.estimate.value, pt.estimate.error_bound) == (0.7, 0.0)
 
 
 def test_estimates_consistent_across_n():

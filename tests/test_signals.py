@@ -14,7 +14,7 @@ from firingmap import (
     signal_spec,
 )
 
-from helpers import half_on_half_off
+from helpers import half_on_half_off, mp_weighted_integral
 
 
 def test_trig_eval_at_zero():
@@ -66,21 +66,8 @@ def test_weighted_integral_constant_closed_form():
 def test_weighted_integral_trig_vs_quadrature():
     sig = TrigPolynomial(2.0, [(1, 0.8, 0.0)])
     got = _weighted(sig, 1.0, 0.0, 1.0)
-    oracle, _ = quad(lambda u: (sig.eval(u) - 1.0) * math.exp(u), 0.0, 1.0,
-                     epsabs=1e-14, epsrel=1e-14)
+    oracle = float(mp_weighted_integral(sig, 1.0, 0.0, 1.0))
     assert got == pytest.approx(oracle, rel=1e-12)
-
-
-def _jump_points(sig, a, b):
-    # tell the adaptive oracle where the integrand is discontinuous
-    if not isinstance(sig, PiecewiseConstant):
-        return None
-    pts = []
-    k = math.floor(a)
-    while k <= math.ceil(b):
-        pts.extend(k + bp for bp in sig.breakpoints)
-        k += 1
-    return [p for p in pts if a < p < b] or None
 
 
 def test_closed_forms_vs_quadrature_random_intervals():
@@ -92,14 +79,9 @@ def test_closed_forms_vs_quadrature_random_intervals():
         b = a + float(rng.uniform(0, 3))
         sigma = float(rng.uniform(0.1, 2.0))
         for sig in (trig, pwc):
-            pts = _jump_points(sig, a, b)
-            plain, _ = quad(sig.eval, a, b, epsabs=1e-13, epsrel=1e-13,
-                            limit=200, points=pts)
+            plain = float(mp_weighted_integral(sig, 0.0, a, b))
             assert sig.integral(a, b) == pytest.approx(plain, rel=1e-10, abs=1e-11)
-            weighted, _ = quad(
-                lambda u: (sig.eval(u) - sigma) * math.exp(sigma * u),
-                a, b, epsabs=1e-13, epsrel=1e-13, limit=200, points=pts,
-            )
+            weighted = float(mp_weighted_integral(sig, sigma, a, b))
             assert _weighted(sig, sigma, a, b) == pytest.approx(
                 weighted, rel=1e-10, abs=1e-10
             )
@@ -186,10 +168,7 @@ def test_sampled_eval_and_integral():
 
 def test_sampled_weighted_vs_quadrature():
     sig = Sampled([1.0, 2.0, 0.5, 1.5, 1.2, 0.8, 1.9, 1.1])
-    oracle, _ = quad(
-        lambda u: (sig.eval(u) - 0.5) * math.exp(0.5 * u), 0.2, 1.7,
-        epsabs=1e-12, limit=400,
-    )
+    oracle = float(mp_weighted_integral(sig, 0.5, 0.2, 1.7))
     assert _weighted(sig, 0.5, 0.2, 1.7) == pytest.approx(oracle, rel=1e-7)
 
 

@@ -398,6 +398,8 @@ def staircase_scan(
     Each grid point is independent; failures are recorded per point and the
     scan continues.  Output order follows the input grid.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     out = []
     for param in param_grid:
         try:

@@ -327,6 +327,11 @@ def test_staircase_records_errors_and_continues():
     assert [pt.param for pt in points] == [0.25, 0.5, 0.3]
 
 
+def test_staircase_rejects_nonpositive_n():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        staircase_scan(cosine_lif, [0.25], n=0)
+
+
 def test_staircase_plateau_inside_tongue():
     # the locking plateau has positive width: rho stays at 7/10 across it
     betas = [0.42, 0.425, 0.43, 0.435, 0.44]

@@ -68,6 +68,7 @@ def test_pi_conjugacy_cosine_closed_form():
         expected = t + math.sin(2 * math.pi * t) / (4 * math.pi)
         assert pi_conjugacy(sig, t) == pytest.approx(expected, abs=1e-14)
     assert pi_conjugacy(sig, 0.0) == 0.0
+    assert pi_conjugacy(sig, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi_conjugacy_searches_the_bounds_once(monkeypatch):
@@ -78,8 +79,7 @@ def test_pi_conjugacy_searches_the_bounds_once(monkeypatch):
     sig = TrigPolynomial(2.0, [(1, 1.0, 0.0), (3, 0.2, 0.1)])
     gamma = [pi_conjugacy(sig, float(t)) for t in np.linspace(0.0, 1.0, 100)]
     assert len(calls) == 1
-    assert gamma[0] == 0.0 and gamma[-1] == pytest.approx(1.0, abs=1e-14)
-    assert pi_conjugacy(sig, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert gamma[0] == 0.0 and gamma[-1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pi_conjugacy_degree_one():

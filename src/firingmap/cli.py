@@ -171,6 +171,8 @@ def _merge(args) -> RunConfig:
     for name, least in _MIN_COUNT.items():
         if getattr(cfg, name) < least:
             raise UsageError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
+    if not math.isfinite(cfg.t0):
+        raise UsageError(f"t0 must be finite, got {cfg.t0!r}")
     for name in _POSITIVE:
         if not getattr(cfg, name) > 0:
             raise UsageError(f"{name} must be > 0, got {getattr(cfg, name)!r}")

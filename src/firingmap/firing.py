@@ -35,13 +35,15 @@ that lands that close.  L is 0 for the nonnegative perfect integrator,
 where the certificate never fires.
 
 Every one-step scalar solve starts from the displacement Psi = Phi - Id,
-which is 1-periodic: the cubic Hermite interpolant at t mod 1 of a table of
-Psi and Psi' on the grid j/1024, built once per system by one batched solve
-(:func:`_psi_table`).  The table only supplies the start; the solver's own
-tests accept the answer.  An orbit step therefore equals the cold solve
-:func:`firing_time` from the previous spike, bit for bit.
+which is 1-periodic: the cubic Hermite interpolant at t mod 1 through Psi
+and Psi' at the nodes j/1024, kept as four polynomial coefficients per cell
+and built once per system by one batched solve (:func:`_psi_table`).  The
+table only supplies the start; the solver's own tests accept the answer.
+An orbit step therefore equals the cold solve :func:`firing_time` from the
+previous spike, bit for bit.
 
-Firing times are absolute; nothing here reduces orbits mod 1.
+Firing times are absolute; nothing here reduces orbits mod 1.  Start times
+must be finite: an infinite or nan start raises :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -284,11 +286,16 @@ def _zero_run_start(sig: Sampled, x: float, g_at) -> float:
 
 
 def _psi_table(system: IFSystem) -> tuple:
-    """(Psi, Psi') on the grid j/_PSI_GRID, j = 0.._PSI_GRID, as warm starts only.
+    """Per-cell coefficients (c0, c1, c2, c3) of the cubic Hermite interpolant of Psi.
 
-    Built on first use by one batched solve.  Psi' = Phi' - 1 comes from
-    :func:`_slope`'s formula and is 0 where not finite (f(Phi) = 0, a jump).
-    Empty when that solve fails: scalar solves then start cold, each naming its own t.
+    On the cell [j, j+1]/_PSI_GRID the warm start at s = t*_PSI_GRID - j is
+    c0 + s*(c1 + s*(c2 + s*c3)), with c0 = Psi_j, c1 = m_j,
+    c2 = 3*D - 2*m_j - m_{j+1} and c3 = m_j + m_{j+1} - 2*D, where
+    m = Psi'/_PSI_GRID and D = Psi_{j+1} - Psi_j: four ``array('d')`` of
+    _PSI_GRID entries, built on first use by one batched solve of Psi on the
+    grid.  Psi' = Phi' - 1 comes from :func:`_slope`'s formula and is 0 where
+    not finite (f(Phi) = 0, a jump).  Empty when that solve fails: scalar
+    solves then start cold, each naming its own t.
     """
     if system._psi is None:
         sig, sigma = system.signal, system.sigma
@@ -302,7 +309,10 @@ def _psi_table(system: IFSystem) -> tuple:
         with np.errstate(divide="ignore", invalid="ignore"):
             dpsi = f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
         dpsi[~np.isfinite(dpsi)] = 0.0
-        system._psi = array("d", psi.tobytes()), array("d", dpsi.tobytes())
+        m, dy = dpsi / _PSI_GRID, np.diff(psi)
+        m0, m1 = m[:-1], m[1:]
+        coef = psi[:-1], m0, 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy
+        system._psi = tuple(array("d", c.tobytes()) for c in coef)
     return system._psi
 
 
@@ -311,9 +321,13 @@ def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
 
     One pass of the spike loop is one lane of :func:`_newton_batch`, and
     returns Q(t + d) beside d for the next spike.  A step starts from the
-    cubic Hermite interpolant at t mod 1 of the table of :func:`_psi_table`,
-    or at half the bound when the table is empty.
+    cubic of the cell of :func:`_psi_table` that holds t mod 1, in Horner
+    form, or at half the bound when the table is empty or the cubic leaves
+    (0, bound).  Everything that does not change from spike to spike is
+    bound to a local before the loop.  A non-finite t0 raises ValueError.
     """
+    if not math.isfinite(t0):
+        raise ValueError(f"start time must be finite, got {t0!r}")
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
     times = np.empty(n)
@@ -323,30 +337,30 @@ def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
             t = times[i] = _pi_pwc_crossing(sig, t)
         return times
     kern, mean, slope = sig.kernel(sigma), sig.mean(), _min_slope(system)
-    exp, log1p, inf = math.exp, math.log1p, math.inf
+    exp, log1p, inf, rtol, iters = math.exp, math.log1p, math.inf, _RESIDUAL_TOL, range(_MAX_ITER)
     snap = isinstance(sig, Sampled) and sigma == 0.0
-    psi, dpsi = _psi_table(system) or (None, None)
+    c0, c1, c2, c3 = _psi_table(system) or (None,) * 4
     dmax = _max_displacement(system)
-    floor = max(1e-15, 1e-15 * dmax)
+    half, floor, grid = 0.5 * dmax, max(1e-15, 1e-15 * dmax), float(_PSI_GRID)
     t, q0 = t0, kern(t0)[0]
     for i in range(n):
-        if psi:
-            x = t % 1.0 * _PSI_GRID
+        d = half
+        if c0:
+            x = t % 1.0 * grid
             # t % 1.0 is 1.0 for tiny negative t
-            j = int(x) if x < _PSI_GRID else _PSI_GRID - 1
-            s, y0, dy = x - j, psi[j], psi[j + 1] - psi[j]
-            m0, m1 = dpsi[j] / _PSI_GRID, dpsi[j + 1] / _PSI_GRID
-            d = y0 + s * (m0 + s * (3.0 * dy - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * dy)))
-            if not 0.0 < d < dmax:  # nan too
-                d = 0.5 * dmax
-        else:
-            d = 0.5 * dmax
+            j = int(x) if x < grid else _PSI_GRID - 1
+            s = x - j
+            y = c0[j] + s * (c1[j] + s * (c2[j] + s * c3[j]))
+            if 0.0 < y < dmax:  # not nan
+                d = y
         lo, hi, top, doublings = 0.0, dmax, dmax, 0  # g(top) >= 0 is unverified
         step = step_old = dmax  # the previous step and the one before
         # t + d is representable only to ulp(t); don't demand finer than that
-        width_tol = max(floor, 8e-16 * abs(t))
+        width_tol = 8e-16 * t if t > 0.0 else -8e-16 * t
+        if width_tol < floor:
+            width_tol = floor
         cert = 0.25 * width_tol * slope
-        for _ in range(_MAX_ITER):
+        for _ in iters:
             d = (x := t + d) - t  # the float x's own displacement (exact for d <= |t|)
             q1, fx = kern(x)
             if sigma > 0.0:
@@ -365,9 +379,9 @@ def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
                 g = mean * d + q1 - q0 - 1.0
                 dg = fx
                 cand = d - g / dg if dg > 0.0 else -1.0
-            ag = abs(g)
+            ag = g if g > 0.0 else -g
             # the slope certificate, |g| and |g/g'| within tolerance, or Newton stays at x
-            if ag < cert or ag <= _RESIDUAL_TOL * dg and ag <= _RESIDUAL_TOL or t + cand == x:
+            if ag < cert or ag <= rtol * dg and ag <= rtol or t + cand == x:
                 break
             if g > 0.0:
                 hi, dx = d, d - cand
@@ -457,6 +471,9 @@ def firing_times(system: IFSystem, ts) -> np.ndarray:
     Lane by lane the same iteration and tolerances as :func:`firing_time`.
     """
     ts = np.asarray(ts, dtype=float)
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        raise ValueError(f"start times must be finite, got {float(bad[0])!r}")
     return _firing_batch(system, ts.ravel()).reshape(ts.shape)
 
 

@@ -23,7 +23,6 @@ from .firing import (
     IFSystem,
     Regime,
     _max_displacement,
-    firing_time,
     firing_times,
     iterate,
 )
@@ -116,13 +115,6 @@ def best_rational(x: float, q_max: int) -> tuple[int, int]:
     return lo if x - lo[0] / lo[1] <= hi[0] / hi[1] - x else hi
 
 
-def _phi_power(system: IFSystem, t: float, q: int) -> float:
-    x = t
-    for _ in range(q):
-        x = firing_time(system, x)
-    return x
-
-
 _ORBIT_SPIKES = 1024  # length of the first certificate orbit
 _GRID_SIZE = 64  # grid of a mediant the orbit cannot place
 _MIN_RHO_TOL = 2.0 ** -22  # the least rho_tol: an orbit of at most 4,194,304 spikes
@@ -185,7 +177,7 @@ def _grid_test(system: IFSystem, p: int, q: int, residual_tol: float):
         glo = float(vals[flips[0]])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            gm = _phi_power(system, mid, q) - mid - p
+            gm = float(iterate(system, mid, q).times[-1]) - mid - p
             residual = min(residual, abs(gm))
             if residual <= 1e-3 * residual_tol:
                 break

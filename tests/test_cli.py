@@ -301,9 +301,11 @@ def test_config_missing_file(capsys):
     # below 2**-22 the orbit cap ceil(1/rho_tol) would exceed 4,194,304 spikes
     ("[tolerances]\nrho_tol = 1e-9\n", ["rho_tol must be >= 2**-22", "4,194,304 spikes"]),
     ("[tolerances]\nresidual_tol = -1e-8\n", ["residual_tol must be > 0"]),
+    # a non-finite start crashed `rotation` with a traceback
+    ("[run]\nt0 = inf\n", ["t0 must be finite, got inf"]),
 ], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float",
         "n-zero", "bins-zero", "q-zero", "eps-negative", "burn-in-negative", "q-max-zero",
-        "rho-tol-zero", "rho-tol-below-floor", "residual-tol-negative"])
+        "rho-tol-zero", "rho-tol-below-floor", "residual-tol-negative", "t0-infinite"])
 def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(body)
@@ -322,6 +324,8 @@ def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, na
     ("--burn-in", "-5", "burn_in must be >= 0"),
     ("--tol", "0", "rho_tol must be > 0"),
     ("--tol", "1e-9", "rho_tol must be >= 2**-22, which caps the orbit at 4,194,304 spikes"),
+    ("--t0", "inf", "t0 must be finite, got inf"),
+    ("--t0", "nan", "t0 must be finite, got nan"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, flag, value, named):
     out_csv = tmp_path / "h.csv"

@@ -362,6 +362,29 @@ def test_iterate_rejects_nonpositive_n():
         iterate(translation_lif(1), 0.0, 0)
 
 
+NONFINITE_SYSTEMS = {
+    "trig-lif": lambda: cosine_lif(0.25),
+    "step-pi": pi_half_on,  # the exact lookup, which used to raise OverflowError
+}
+ENTRY_POINTS = {
+    "iterate": lambda system, t: iterate(system, t, 3),
+    "firing_time": firing_time,
+    "firing_times": lambda system, t: firing_times(system, [0.5, t]),
+    "displacement": lambda system, t: firing.displacement(system, t),
+}
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("make", NONFINITE_SYSTEMS.values(), ids=NONFINITE_SYSTEMS.keys())
+def test_nonfinite_start_times_are_refused(make, entry, t):
+    # iterate from inf returned [inf inf inf], and firing_times a nan with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got {t!r}")):
+            entry(make(), t)
+
+
 def test_check_lift_nonneg_pi_trig():
     sig = TrigPolynomial(1.0, [(1, 1.0, 0.0)])
     assert check_lift(IFSystem(0.0, sig), np.linspace(0.05, 0.95, 16)) < 1e-9
@@ -451,10 +474,48 @@ def test_orbit_warm_start_table_saves_kernel_evaluations(make):
     calls = _count_kernel_calls(system)
     iterate(system, 0.1, 5000)
     table = system._psi
-    assert len(table) == 2
+    assert [len(c) for c in table] == [firing._PSI_GRID] * 4
     assert calls[0] <= 2.5 * 5000
     iterate(system, 0.4, 10)
     assert system._psi is table
+
+
+def _kink_cells(system, nodes, phi):
+    """Cells [nodes_j, nodes_{j+1}] whose start or firing time crosses a kink of the drive."""
+    sig = system.signal
+    if isinstance(sig, PiecewiseConstant):
+        kinks = np.asarray(sig.breakpoints, dtype=float)
+    elif isinstance(sig, Sampled):
+        kinks = np.arange(sig.values.size) / sig.values.size
+    else:
+        return np.zeros(nodes.size - 1, dtype=bool)
+    out = np.zeros(nodes.size - 1, dtype=bool)
+    for ends in (nodes, phi):
+        a, b = ends[:-1, None] - kinks, ends[1:, None] - kinks
+        out |= (np.ceil(a) <= np.floor(b)).any(axis=1)  # some kink + k lies in [a, b]
+    return out
+
+
+@pytest.mark.parametrize("name", ORBIT_SYSTEMS)
+def test_psi_table_interpolates_the_displacement(name):
+    # c0 holds Psi at the nodes j/_PSI_GRID as the batched solve returns it.
+    # At each cell's midpoint the cubic is within 1e-9 of a cold solve
+    # wherever Psi is smooth on the cell (1e-7 for the sampled drive, whose
+    # 48 linear pieces give Psi a large fourth derivative), and a warm start
+    # within 1e-3 on the cells where the start or the firing time crosses a
+    # kink of a piecewise drive
+    system = ORBIT_SYSTEMS[name]()
+    c0, c1, c2, c3 = (np.asarray(c) for c in firing._psi_table(system))
+    nodes = np.arange(firing._PSI_GRID + 1) / firing._PSI_GRID
+    psi = firing.displacement(system, nodes)
+    assert c0.tolist() == psi[:-1].tolist()
+    mids = (nodes[:-1] + nodes[1:]) / 2
+    warm = c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3))
+    err = np.abs(warm - [firing_time(system, t) - t for t in mids.tolist()])
+    kink = _kink_cells(system, nodes, nodes + psi)
+    assert kink.mean() < 0.15
+    assert err[~kink].max() < (1e-7 if name == "sampled-lif" else 1e-9)
+    assert err.max() < 1e-3
 
 
 @pytest.mark.parametrize("name", ["trig-lif", "trig-strict-pi", "step-lif"])

@@ -1,6 +1,8 @@
-"""The benchmark recorder of ``tools/``, with its runs and git calls stubbed."""
+"""The scripts of ``tools/``: the benchmark recorder, with its runs and git calls
+stubbed, and the orbit digest at a small n."""
 
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -45,3 +47,25 @@ def test_bench_record_keeps_the_runs_before_a_failed_one(monkeypatch, tmp_path):
     assert record["failed"] == {"workload": "orbits", "seed": 2, "side": "change",
                                 "trace": 0, "exit_code": 3}
     assert record["summary"]["orbits"]["change_won"]["wall_s"] == {"won": 0, "pairs": 1}
+
+
+def _load_orbit_digest():
+    spec = importlib.util.spec_from_file_location(
+        "orbit_digest", os.path.join(ROOT, "tools", "orbit_digest.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_orbit_digest_covers_every_benchmark_system(capsys):
+    od = _load_orbit_digest()
+    specs = od.load_specs()
+    od.main(["--n", "40"])
+    lines = capsys.readouterr().out.splitlines()
+    names = [f"{w}/{name}" for w in specs.WORKLOADS for name in specs.workload_systems(w)]
+    assert [line.split()[0] for line in lines[:-1]] == names
+    # three orbits of 40 spikes (1 for the sampled drive) and 2,049 lanes per system
+    sampled = sum(name.startswith("orbits/sampled") for name in names)
+    count = len(names) * (3 * 40 + 2049) - sampled * 3 * 39
+    assert lines[-1].split()[:3] == ["values", str(count), "sha256"]
+    assert od.digest(40, out=io.StringIO()) == (count, lines[-1].split()[3])

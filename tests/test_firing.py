@@ -370,7 +370,7 @@ ENTRY_POINTS = {
     "iterate": lambda system, t: iterate(system, t, 3),
     "firing_time": firing_time,
     "firing_times": lambda system, t: firing_times(system, [0.5, t]),
-    "displacement": lambda system, t: firing.displacement(system, t),
+    "displacement": firing.displacement,
 }
 
 
@@ -482,13 +482,11 @@ def test_orbit_warm_start_table_saves_kernel_evaluations(make):
 
 def _kink_cells(system, nodes, phi):
     """Cells [nodes_j, nodes_{j+1}] whose start or firing time crosses a kink of the drive."""
-    sig = system.signal
+    sig, kinks = system.signal, np.empty(0)  # a trigonometric drive has none
     if isinstance(sig, PiecewiseConstant):
         kinks = np.asarray(sig.breakpoints, dtype=float)
     elif isinstance(sig, Sampled):
         kinks = np.arange(sig.values.size) / sig.values.size
-    else:
-        return np.zeros(nodes.size - 1, dtype=bool)
     out = np.zeros(nodes.size - 1, dtype=bool)
     for ends in (nodes, phi):
         a, b = ends[:-1, None] - kinks, ends[1:, None] - kinks

@@ -1,10 +1,10 @@
 """Print a sha256 of the firing map's orbits on every benchmark system.
 
-    python3 tools/orbit_digest.py [--n 20000]
+    python3 tools/orbit_digest.py
 
 For every system of every workload in ``perfbench/specs.py`` (read, never
 changed), the digest covers ``iterate`` from t0 = 0.1, 0.37 and 5e4 + 0.3
-(``--n`` spikes each; ``Sampled`` drives run ``--n // 40``) and one
+(20,000 spikes each; ``Sampled`` drives run 500) and one
 ``firing_times`` call on the 2,049-point grid j/2048 of [0, 1].  It prints
 one line per system and a last line with the value count and the sha256
 of every value's bytes, in order.  Two revisions whose last lines agree
@@ -13,7 +13,6 @@ return the same floats, bit for bit, on all of these inputs.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import importlib.util
 import os
@@ -59,13 +58,8 @@ def digest(n: int, out=None) -> tuple[int, str]:
     return count, total.hexdigest()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n", type=int, default=20_000, help="spikes per orbit")
-    args = ap.parse_args(argv)
-    if args.n < 40:
-        ap.error("--n must be >= 40")
-    count, sha = digest(args.n)
+def main():
+    count, sha = digest(20_000)
     print(f"values {count} sha256 {sha}")
 
 

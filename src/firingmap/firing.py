@@ -353,14 +353,12 @@ def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
             y = c0[j] + s * (c1[j] + s * (c2[j] + s * c3[j]))
             if 0.0 < y < dmax:  # not nan
                 d = y
-        lo, hi, top, doublings = 0.0, dmax, dmax, 0  # g(top) >= 0 is unverified
-        step = step_old = dmax  # the previous step and the one before
         # t + d is representable only to ulp(t); don't demand finer than that
         width_tol = 8e-16 * t if t > 0.0 else -8e-16 * t
         if width_tol < floor:
             width_tol = floor
         cert = 0.25 * width_tol * slope
-        for _ in iters:
+        for k in iters:
             d = (x := t + d) - t  # the float x's own displacement (exact for d <= |t|)
             q1, fx = kern(x)
             if sigma > 0.0:
@@ -368,21 +366,27 @@ def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:
                     e = exp(sigma * d)
                 except OverflowError:  # far past the crossing
                     g = dg = inf
-                    cand = -1.0
                 else:
                     g = e * q1 - q0 - 1.0
                     dg = (fx - sigma) * e
-                    # Newton in exp(sigma*d), in which g is affine on every step piece
-                    r = sigma * g / dg if dg > 0.0 else 1.0
-                    cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
             else:
                 g = mean * d + q1 - q0 - 1.0
                 dg = fx
-                cand = d - g / dg if dg > 0.0 else -1.0
             ag = g if g > 0.0 else -g
-            # the slope certificate, |g| and |g/g'| within tolerance, or Newton stays at x
-            if ag < cert or ag <= rtol * dg and ag <= rtol or t + cand == x:
+            # the slope certificate, or |g| and |g/g'| within tolerance
+            if ag < cert or ag <= rtol * dg and ag <= rtol:
                 break
+            if sigma > 0.0:
+                # Newton in exp(sigma*d), in which g is affine on every step piece
+                r = sigma * g / dg if dg > 0.0 else 1.0  # nan past an overflow
+                cand = d + log1p(-r) / sigma if r < 1.0 else -1.0
+            else:
+                cand = d - g / dg if dg > 0.0 else -1.0
+            if t + cand == x:  # Newton stays at x
+                break
+            if not k:  # the first rejected iterate opens the bracket
+                lo, hi, top, doublings = 0.0, dmax, dmax, 0  # g(top) >= 0 is unverified
+                step = step_old = dmax  # the previous step and the one before
             if g > 0.0:
                 hi, dx = d, d - cand
             else:

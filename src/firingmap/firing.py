@@ -25,18 +25,22 @@ on a whole grid of start times.  The one exception is a piecewise-constant
 drive with sigma = 0, whose crossings are found exactly, one lookup each, in
 the signal's scaled-integer prefix table (:func:`_pi_pwc_crossing`).
 
-Both accept a displacement d by one of three tests: a small residual, a
-bracket narrowed to the resolution ``width_tol`` of t + d, or the slope
-certificate.  In the strict regime g' >= L = ess inf(f - sigma) on d >= 0,
-so |g(d)| < L*width_tol/4 proves the crossing lies within width_tol/4 of d,
-half what the bracket test's midpoint guarantees.  Far from t = 0, where no
+Both accept a displacement d by one of four tests, which the scalar loop
+runs in this order: the slope certificate, a small residual, a Newton step
+that rounds back to t + d, and a bracket narrowed to the resolution
+``width_tol`` of t + d.  The first two need only g and g'; the scalar loop
+computes the Newton step only when both fail, and opens the bracket only
+when the first iterate is rejected.  In the strict regime
+g' >= L = ess inf(f - sigma) on d >= 0, so |g(d)| < L*width_tol/4 proves
+the crossing lies within width_tol/4 of d, half what the bracket test's
+midpoint guarantees.  Far from t = 0, where no
 residual test can pass, the certificate accepts the first Newton iterate
 that lands that close.  L is 0 for the nonnegative perfect integrator,
 where the certificate never fires.
 
 Every one-step scalar solve starts from the displacement Psi = Phi - Id,
 which is 1-periodic: the cubic Hermite interpolant at t mod 1 through Psi
-and Psi' at the nodes j/1024, kept as four polynomial coefficients per cell
+and Psi' at the nodes j/2048, kept as four polynomial coefficients per cell
 and built once per system by one batched solve (:func:`_psi_table`).  The
 table only supplies the start; the solver's own tests accept the answer.
 An orbit step therefore equals the cold solve :func:`firing_time` from the
@@ -67,7 +71,7 @@ from .signals import (
 _STRICT_TOL = 1e-9  # ess inf(f - sigma) must clear this to count as strict
 _RESIDUAL_TOL = 1e-13  # scaled threshold-equation residual at convergence
 _MAX_ITER = 200
-_PSI_GRID = 1024  # cells of the warm-start table of Psi over one period
+_PSI_GRID = 2048  # cells of the warm-start table of Psi over one period
 
 
 class Regime(Enum):

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .errors import FiringMapError
-from .firing import IFSystem, Regime, iterate
+from .firing import _MAX_START, IFSystem, Regime, iterate
 from .isi import (
     classify_regularity,
     cluster_values,
@@ -171,8 +171,9 @@ def _merge(args) -> RunConfig:
     for name, least in _MIN_COUNT.items():
         if getattr(cfg, name) < least:
             raise UsageError(f"{name} must be >= {least}, got {getattr(cfg, name)}")
-    if not math.isfinite(cfg.t0):
-        raise UsageError(f"t0 must be finite, got {cfg.t0!r}")
+    if not abs(cfg.t0) <= _MAX_START:  # also nan
+        need = "lie within |t0| <= 2**40" if math.isfinite(cfg.t0) else "be finite"
+        raise UsageError(f"t0 must {need}, got {cfg.t0!r}")
     for name in _POSITIVE:
         if not getattr(cfg, name) > 0:
             raise UsageError(f"{name} must be > 0, got {getattr(cfg, name)!r}")
@@ -219,11 +220,8 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_simulate(cfg: RunConfig) -> int:
     system = _system_from(cfg, cfg.signal, cfg.sigma)
     orbit = iterate(system, cfg.t0, cfg.n)
-    lines = ["index,time,isi"]
-    isis = orbit.isi
-    for i, (t, d) in enumerate(zip(orbit.times, isis), start=1):
-        lines.append(f"{i},{_fmt(t)},{_fmt(d)}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    rows = zip(range(1, len(orbit) + 1), orbit.times.tolist(), orbit.isi.tolist())
+    _emit(cfg, "index,time,isi\n" + "".join("%d,%.12g,%.12g\n" % row for row in rows))
     return 0
 
 

@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from firingmap import IFSystem, parse_signal, perturbation_harness
+from firingmap import cli
 from firingmap.cli import main
+from firingmap.firing import Orbit
 
 from helpers import count_rotation_spikes
 
@@ -36,6 +39,20 @@ def test_simulate_half_on_half_off(capsys):
     assert code == 0
     rows = out.strip().splitlines()[1:]
     assert [float(r.split(",")[1]) for r in rows] == [0.5, 1.5]
+
+
+def test_simulate_rows_match_per_value_formatting(capsys, monkeypatch):
+    # the rows are formatted in one pass; each field must read as _fmt does
+    times = np.array([-0.0, 5e-324, 1e300, 1e300, 0.1 + 2.0 / 3.0, 123456.78901234567])
+    monkeypatch.setattr(cli, "iterate", lambda system, t0, n: Orbit(t0, times))
+    code, out, _ = run_cli(capsys, "simulate", "--sigma", "1", "--signal", "const:2",
+                           "--n", str(times.size))
+    assert code == 0
+    isis = np.diff(times, prepend=0.0)
+    want = ["index,time,isi"] + [f"{i},{cli._fmt(t)},{cli._fmt(d)}"
+                                 for i, (t, d) in enumerate(zip(times, isis), start=1)]
+    assert out == "\n".join(want) + "\n"
+    assert "1,-0,-0" in want and "2,4.94065645841e-324,4.94065645841e-324" in want
 
 
 def test_simulate_ill_posed_exit_2(capsys):
@@ -303,9 +320,12 @@ def test_config_missing_file(capsys):
     ("[tolerances]\nresidual_tol = -1e-8\n", ["residual_tol must be > 0"]),
     # a non-finite start crashed `rotation` with a traceback
     ("[run]\nt0 = inf\n", ["t0 must be finite, got inf"]),
+    # a start this large read back the start time as every spike
+    ("[run]\nt0 = 1e17\n", ["t0 must lie within |t0| <= 2**40, got 1e+17"]),
 ], ids=["unknown-keys", "misspelt-key", "unknown-section", "bad-int", "bad-float",
         "n-zero", "bins-zero", "q-zero", "eps-negative", "burn-in-negative", "q-max-zero",
-        "rho-tol-zero", "rho-tol-below-floor", "residual-tol-negative", "t0-infinite"])
+        "rho-tol-zero", "rho-tol-below-floor", "residual-tol-negative", "t0-infinite",
+        "t0-huge"])
 def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, named):
     cfg = tmp_path / "run.ini"
     cfg.write_text(body)
@@ -326,6 +346,7 @@ def test_config_rejects_unknown_and_malformed_entries(capsys, tmp_path, body, na
     ("--tol", "1e-9", "rho_tol must be >= 2**-22, which caps the orbit at 4,194,304 spikes"),
     ("--t0", "inf", "t0 must be finite, got inf"),
     ("--t0", "nan", "t0 must be finite, got nan"),
+    ("--t0", "-100000000000000000", "t0 must lie within |t0| <= 2**40, got -1e+17"),
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, tmp_path, flag, value, named):
     out_csv = tmp_path / "h.csv"

@@ -70,3 +70,9 @@ def test_orbit_digest_covers_every_benchmark_system():
     assert count == len(names) * (3 * 40 + 2049) - sampled * 3 * 39
     assert sum(int(line.split()[1]) for line in lines) == count
     assert len(sha) == 64 and all(len(line.split()[2]) == 16 for line in lines)
+    # kernel evaluations per spike beside each hash: none on the exact step-PI
+    # lookup, at least one on every other path
+    evals = {line.split()[0]: float(line.split()[3]) for line in lines}
+    assert all(line.split()[4] == "evals/spike" for line in lines)
+    assert evals.pop("orbits/step_pi") == 0.0
+    assert all(1.0 <= v < 3.0 for v in evals.values())

@@ -6,9 +6,12 @@ For every system of every workload in ``perfbench/specs.py`` (read, never
 changed), the digest covers ``iterate`` from t0 = 0.1, 0.37 and 5e4 + 0.3
 (20,000 spikes each; ``Sampled`` drives run 500) and one
 ``firing_times`` call on the 2,049-point grid j/2048 of [0, 1].  It prints
-one line per system and a last line with the value count and the sha256
-of every value's bytes, in order.  Two revisions whose last lines agree
-return the same floats, bit for bit, on all of these inputs.
+one line per system (name, value count, the first 16 hex digits of its
+sha256, and the scalar kernel evaluations per spike of its three orbits)
+and a last line with the value count and the sha256 of every value's
+bytes, in order.  Two revisions whose last lines agree return the same
+floats, bit for bit, on all of these inputs; the evaluation counts stay out
+of every hash.
 """
 
 from __future__ import annotations
@@ -34,6 +37,19 @@ def load_specs():
     return module
 
 
+def count_kernel_calls(system) -> list[int]:
+    """Wrap the scalar kernel of the system's drive with a call counter."""
+    sig, sigma = system.signal, system.sigma
+    kern, calls = sig.kernel(sigma), [0]
+
+    def counted(x):
+        calls[0] += 1
+        return kern(x)
+
+    sig._kernels[sigma] = counted
+    return calls
+
+
 def digest(n: int, out=None) -> tuple[int, str]:
     """Write the per-system lines to ``out`` (default stdout); return (value count, sha256 hex)."""
     if SRC not in sys.path:
@@ -45,7 +61,9 @@ def digest(n: int, out=None) -> tuple[int, str]:
     for workload in specs.WORKLOADS:
         for name, system in specs.build_systems(fm, workload).items():
             spikes = n // 40 if isinstance(system.signal, fm.signals.Sampled) else n
+            calls = count_kernel_calls(system)
             arrays = [fm.firing.iterate(system, t0, spikes).times for t0 in STARTS]
+            per_spike = calls[0] / (len(STARTS) * spikes)
             arrays.append(fm.firing.firing_times(system, GRID))
             own = hashlib.sha256()
             for a in arrays:
@@ -54,7 +72,8 @@ def digest(n: int, out=None) -> tuple[int, str]:
                 total.update(data)
             values = sum(a.size for a in arrays)
             count += values
-            print(f"{workload}/{name} {values} {own.hexdigest()[:16]}", file=out)
+            print(f"{workload}/{name} {values} {own.hexdigest()[:16]} "
+                  f"{per_spike:.3f} evals/spike", file=out)
     return count, total.hexdigest()
 
 

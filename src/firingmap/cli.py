@@ -336,6 +336,8 @@ def cmd_density(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     base = _system_from(cfg, cfg.signal, cfg.sigma)
+    if base.regime is not Regime.STRICT_LIF:
+        raise UsageError("compare requires a base system in the strict regime")
     sigma2 = cfg.sigma if cfg.sigma2 is None else cfg.sigma2
     perturbed = _system_from(cfg, cfg.signal2, sigma2)
     report = perturbation_harness(base, perturbed, orbit_len=cfg.n, t0=cfg.t0)

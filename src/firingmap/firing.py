@@ -38,13 +38,15 @@ residual test can pass, the certificate accepts the first Newton iterate
 that lands that close.  L is 0 for the nonnegative perfect integrator,
 where the certificate never fires.
 
-Every one-step scalar solve starts from the displacement Psi = Phi - Id,
-which is 1-periodic: the cubic Hermite interpolant at t mod 1 through Psi
-and Psi' at the nodes j/2048, kept as four polynomial coefficients per cell
-and built once per system by one batched solve (:func:`_psi_table`).  The
-table only supplies the start; the solver's own tests accept the answer.
-An orbit step therefore equals the cold solve :func:`firing_time` from the
-previous spike, bit for bit.
+Every Newton solve, scalar or batched, starts from the displacement Psi =
+Phi - Id, which is 1-periodic: the cubic Hermite interpolant at t mod 1
+through Psi and Psi' at the nodes j/2048, kept as four polynomial
+coefficients per cell and built by the first solve as one cold batched
+solve (:func:`_psi_table`).  The table only supplies the start; the
+solver's own tests accept the answer.  An orbit step therefore equals the
+cold solve :func:`firing_time` from the previous spike, bit for bit, and a
+lane of :func:`firing_times` does too for sigma = 0; for sigma > 0 numpy's
+exp, log1p and expm1 may round a last bit unlike math's.
 
 Firing times are absolute; nothing here reduces orbits mod 1, so a start
 time must be finite and within |t| <= 2**40, or :class:`ValueError` is
@@ -203,7 +205,8 @@ def _newton_batch(system: IFSystem, kern, ts, q0, d=None):
     above the threshold.  So every lane ends on a residual within
     tolerance, a slope certificate, a Newton step that rounds back to x or
     a bracket whose ends were both evaluated, and drops out there.  The
-    scalar loop of :func:`_crossings` takes the same steps, tests and budget.
+    scalar loop of :func:`_crossings` takes the same steps, tests and
+    budget, with math.exp and math.log1p for np.exp and np.log1p.
     """
     sigma, mean, hi = system.sigma, system.signal.mean(), _max_displacement(system)
     n = ts.size
@@ -299,10 +302,10 @@ def _psi_table(system: IFSystem) -> tuple:
     c0 + s*(c1 + s*(c2 + s*c3)), with c0 = Psi_j, c1 = m_j,
     c2 = 3*D - 2*m_j - m_{j+1} and c3 = m_j + m_{j+1} - 2*D, where
     m = Psi'/_PSI_GRID and D = Psi_{j+1} - Psi_j: four ``array('d')`` of
-    _PSI_GRID entries, built on first use by one batched solve of Psi on the
-    grid.  Psi' = Phi' - 1 comes from :func:`_slope`'s formula and is 0 where
-    not finite (f(Phi) = 0, a jump).  Empty when that solve fails: scalar
-    solves then start cold, each naming its own t.
+    _PSI_GRID entries, built for the first scalar or batched solve by one
+    cold batched solve of Psi on the grid.  Psi' = Phi' - 1 comes from
+    :func:`_slope`'s formula and is 0 where not finite (f(Phi) = 0, a jump).
+    Empty when that solve fails: every solve then starts cold.
     """
     if system._psi is None:
         sig, sigma = system.signal, system.sigma
@@ -467,11 +470,17 @@ def firing_time(system: IFSystem, t: float) -> float:
 
 
 def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
-    """Phi at every entry of the flat array ts, from optional warm starts d."""
+    """Phi at every entry of the flat array ts, from warm starts d, by default
+    :func:`_crossings`' cubic of :func:`_psi_table`, which it builds if absent."""
     system.regime  # validates
     sig, sigma = system.signal, system.sigma
     if isinstance(sig, PiecewiseConstant) and sigma == 0.0:
         return np.array([_pi_pwc_crossing(sig, t) for t in ts.tolist()])
+    if d is None and (table := _psi_table(system)):
+        x = ts % 1.0 * _PSI_GRID  # t % 1.0 is 1.0 for tiny negative t
+        j = np.minimum(x.astype(np.intp), _PSI_GRID - 1)
+        c0, c1, c2, c3 = (np.frombuffer(c)[j] for c in table)
+        d = c0 + (s := x - j) * (c1 + s * (c2 + s * c3))
     kern, mean = sig.kernel_array(sigma), sig.mean()
     q0 = kern(ts)[0]
     x = ts + _newton_batch(system, kern, ts, q0, d)
@@ -485,7 +494,8 @@ def _firing_batch(system: IFSystem, ts: np.ndarray, d=None) -> np.ndarray:
 def firing_times(system: IFSystem, ts) -> np.ndarray:
     """Phi at every start time of ts, as one batched solve.
 
-    Lane by lane the same iteration and tolerances as :func:`firing_time`.
+    Lane by lane the same warm start, iteration and tolerances as
+    :func:`firing_time`; the module docstring says where a last bit may differ.
     """
     ts = np.asarray(ts, dtype=float)
     bad = ts[~(np.abs(ts) <= _MAX_START)]

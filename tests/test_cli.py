@@ -283,6 +283,16 @@ def test_compare_step_drives(capsys):
     assert payload["d_F_isi"] > 0
 
 
+def test_compare_needs_a_strict_base(capsys):
+    # a nonnegative perfect integrator as base: a usage error, not a traceback
+    code, out, err = run_cli(
+        capsys, "compare", "--sigma", "0", "--signal", "trig:2;1,2,0",
+        "--signal2", "trig:2;1,1.9,0",
+    )
+    assert code == 1 and not out
+    assert err.startswith("firingmap: error:") and "strict regime" in err
+
+
 def test_config_file_and_override(capsys, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(

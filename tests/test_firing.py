@@ -584,3 +584,62 @@ def test_batched_solve_counts_exp_overflow_as_above_threshold():
         phi = firing_times(system, [0.1, 0.5])
     assert phi.tolist() == pytest.approx([firing_time(system, 0.1), firing_time(system, 0.5)],
                                          abs=1e-12)
+
+
+def test_cold_batched_solve_counts_exp_overflow_as_above_threshold():
+    warm, cold = _near_marginal(), _near_marginal()
+    cold._psi = ()  # no warm-start table: every lane starts at d ~ 5e4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = firing_times(cold, [0.1, 0.5])
+    assert phi.tolist() == pytest.approx(firing_times(warm, [0.1, 0.5]).tolist(), abs=1e-12)
+
+
+# off the table nodes: in one period, a period away and far out
+OFF_NODE = np.concatenate([np.random.default_rng(0).random(1025),
+                           57.0 + np.random.default_rng(1).random(512),
+                           5e4 + np.random.default_rng(2).random(512)])
+
+
+@pytest.mark.parametrize("name", ORBIT_SYSTEMS)
+def test_batched_solve_does_not_depend_on_call_history(name):
+    # a batched call builds the table it starts from, so it returns the same
+    # floats whether or not an earlier orbit built the table
+    fresh, used = ORBIT_SYSTEMS[name](), ORBIT_SYSTEMS[name]()
+    iterate(used, 0.1, 10)
+    assert fresh._psi is None and used._psi
+    assert firing_times(fresh, OFF_NODE).tobytes() == firing_times(used, OFF_NODE).tobytes()
+
+
+def test_perturbation_harness_does_not_depend_on_call_history():
+    from firingmap import perturbation_harness
+
+    def report(used):
+        base, perturbed = cosine_lif(0.25), cosine_lif(0.27)
+        if used:
+            iterate(base, 0.1, 10), iterate(perturbed, 0.1, 10)
+        rep = perturbation_harness(base, perturbed, grid_size=256, orbit_len=2000)
+        return np.array([rep.sup_phi_dev, rep.sup_dphi_dev, rep.d_f_isi]).tobytes()
+
+    assert report(used=False) == report(used=True)
+
+
+@pytest.mark.parametrize("name", [*ORBIT_SYSTEMS, "trig-nonneg-pi"])
+def test_warm_batched_solve_saves_kernel_evaluations(name):
+    # from the table's cubic about two lane-evaluations per lane, counting
+    # the one for Q(t); a cold start at half the bound takes 4.5 to 7.6
+    make = ORBIT_SYSTEMS.get(name, lambda: IFSystem(0.0, TrigPolynomial(2.0, [(1, 2.0, 0.0)])))
+    system = make()
+    assert firing._psi_table(system)
+    sig, sigma = system.signal, system.sigma
+    kern, lanes = sig.kernel_array(sigma), [0]
+
+    def counted(xs):
+        lanes[0] += xs.size
+        return kern(xs)
+
+    sig._kernel_arrays[sigma] = counted
+    phi = firing_times(system, OFF_NODE)
+    assert lanes[0] <= 2.5 * OFF_NODE.size
+    assert phi.tolist() == pytest.approx([firing_time(system, t) for t in OFF_NODE.tolist()],
+                                         abs=1e-12)

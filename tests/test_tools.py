@@ -69,10 +69,15 @@ def test_orbit_digest_covers_every_benchmark_system():
     sampled = sum(name.startswith("orbits/sampled") for name in names)
     assert count == len(names) * (3 * 40 + 2049) - sampled * 3 * 39
     assert sum(int(line.split()[1]) for line in lines) == count
-    assert len(sha) == 64 and all(len(line.split()[2]) == 16 for line in lines)
-    # kernel evaluations per spike beside each hash: none on the exact step-PI
+    # separate hashes of the orbits and of the batched grid, and the grid's
+    # largest gap to per-point scalar solves, within the solver's tolerances
+    assert len(sha) == 64
+    assert all(line.split()[2:7:2] == ["orbits", "grid", "gap"] for line in lines)
+    assert all(len(line.split()[k]) == 16 for line in lines for k in (3, 5))
+    assert all(0.0 <= float(line.split()[7]) < 1e-12 for line in lines)
+    # kernel evaluations per spike after them: none on the exact step-PI
     # lookup, at least one on every other path
-    evals = {line.split()[0]: float(line.split()[3]) for line in lines}
-    assert all(line.split()[4] == "evals/spike" for line in lines)
+    evals = {line.split()[0]: float(line.split()[8]) for line in lines}
+    assert all(line.split()[9] == "evals/spike" for line in lines)
     assert evals.pop("orbits/step_pi") == 0.0
     assert all(1.0 <= v < 3.0 for v in evals.values())

@@ -6,12 +6,14 @@ For every system of every workload in ``perfbench/specs.py`` (read, never
 changed), the digest covers ``iterate`` from t0 = 0.1, 0.37 and 5e4 + 0.3
 (20,000 spikes each; ``Sampled`` drives run 500) and one
 ``firing_times`` call on the 2,049-point grid j/2048 of [0, 1].  It prints
-one line per system (name, value count, the first 16 hex digits of its
-sha256, and the scalar kernel evaluations per spike of its three orbits)
-and a last line with the value count and the sha256 of every value's
-bytes, in order.  Two revisions whose last lines agree return the same
-floats, bit for bit, on all of these inputs; the evaluation counts stay out
-of every hash.
+one line per system: name, value count, the first 16 hex digits of the
+sha256 of its three orbits and of its batched grid, the largest gap between
+that grid and per-point ``firing_time`` on it, and the scalar kernel
+evaluations per spike of its three orbits.  A last line holds the value
+count and the sha256 of every value's bytes, in order (orbits, then grid,
+per system).  Two revisions whose last lines agree return the same floats,
+bit for bit, on all of these inputs; where only the grid hashes differ, the
+scalar orbits are unchanged.  The evaluation counts stay out of every hash.
 """
 
 from __future__ import annotations
@@ -62,18 +64,23 @@ def digest(n: int, out=None) -> tuple[int, str]:
         for name, system in specs.build_systems(fm, workload).items():
             spikes = n // 40 if isinstance(system.signal, fm.signals.Sampled) else n
             calls = count_kernel_calls(system)
-            arrays = [fm.firing.iterate(system, t0, spikes).times for t0 in STARTS]
+            orbits = [fm.firing.iterate(system, t0, spikes).times for t0 in STARTS]
             per_spike = calls[0] / (len(STARTS) * spikes)
-            arrays.append(fm.firing.firing_times(system, GRID))
-            own = hashlib.sha256()
-            for a in arrays:
-                data = np.ascontiguousarray(a, dtype=np.float64).tobytes()
-                own.update(data)
-                total.update(data)
-            values = sum(a.size for a in arrays)
+            grid = fm.firing.firing_times(system, GRID)
+            gap = max(abs(p - fm.firing.firing_time(system, t))
+                      for t, p in zip(GRID.tolist(), grid.tolist()))
+            hashes = []
+            for arrays in (orbits, [grid]):
+                own = hashlib.sha256()
+                for a in arrays:
+                    data = np.ascontiguousarray(a, dtype=np.float64).tobytes()
+                    own.update(data)
+                    total.update(data)
+                hashes.append(own.hexdigest()[:16])
+            values = sum(a.size for a in orbits) + grid.size
             count += values
-            print(f"{workload}/{name} {values} {own.hexdigest()[:16]} "
-                  f"{per_spike:.3f} evals/spike", file=out)
+            print(f"{workload}/{name} {values} orbits {hashes[0]} grid {hashes[1]} "
+                  f"gap {gap:.1e} {per_spike:.3f} evals/spike", file=out)
     return count, total.hexdigest()
 
 

@@ -9,6 +9,8 @@ Library layout:
 * :mod:`firingmap.cli` -- command-line front end
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CriticalValueError,
     FiringMapError,
@@ -74,57 +76,5 @@ from .signals import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CriticalValueError",
-    "DensityCurve",
-    "EmpiricalDist",
-    "EssentialBounds",
-    "FiringMapError",
-    "IFSystem",
-    "IllPosedError",
-    "InsufficientDataError",
-    "IsiSeq",
-    "LockedError",
-    "LockingResult",
-    "NoConvergenceError",
-    "NotDifferentiableError",
-    "Orbit",
-    "PeriodicSignal",
-    "PerturbationReport",
-    "PiecewiseConstant",
-    "RationalRotationError",
-    "Regime",
-    "RegularityResult",
-    "RotationEstimate",
-    "Sampled",
-    "ScanPoint",
-    "TrigPolynomial",
-    "best_rational",
-    "check_lift",
-    "check_measure_invariance",
-    "classify_regularity",
-    "cluster_values",
-    "constant",
-    "derivative",
-    "detect_locking",
-    "displacement",
-    "displacement_range",
-    "empirical_isi_dist",
-    "estimate_conjugacy",
-    "firing_time",
-    "firing_times",
-    "fortet_mourier",
-    "isi_density_pi",
-    "isi_sequence",
-    "iterate",
-    "parse_signal",
-    "perturbation_harness",
-    "pi_conjugacy",
-    "pi_invariant_density",
-    "pi_rotation",
-    "rotation_enclosure",
-    "rotation_number",
-    "signal_spec",
-    "staircase_scan",
-    "validate",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -91,6 +91,82 @@ class RegularityResult:
     length: int = 0
 
 
+# The recurrence search cuts the values into buckets of width eps / _SUBBAND.
+# A row's sub-band is the buckets from 2 - _SUBBAND to _SUBBAND - 1 around its
+# own, which lie inside its eps-window in exact arithmetic.  Membership lists
+# are built for about _SLAB members at a time, or one sub-band where that
+# alone holds more.
+_SUBBAND = 8
+_SLAB = 1 << 12
+
+
+def _row_matches(v: np.ndarray, i: int, eps: float) -> np.ndarray:
+    """Offsets j - i of every j >= i with |v_j - v_i| < eps: one full scan."""
+    d = v[i:] - v[i]
+    return np.flatnonzero(np.abs(d, out=d) < eps)
+
+
+def _window_bounds(v: np.ndarray, eps: float, first: int, rows: int) -> np.ndarray:
+    """An upper bound on the recurrence gap of each row first + r, r < rows,
+    or len(v) where none is certified.
+
+    The members j of a row's sub-band lie between its smallest and largest
+    member in value, and rounded subtraction is monotone in v_j, so when
+    both of those pass the scan's own test |v_j - v_i| < eps every member
+    does.  The members j >= i are then matches of row i: its gap is at most
+    their largest gap or the tail n - 2 - (last member), and it has two
+    matches once a member follows it.
+    """
+    n = len(v)
+    u = v[first:]
+    itype = np.int32 if n < 2**31 else np.int64
+    order = np.argsort(u, kind="stable").astype(itype)
+    keys = np.sort(u)
+    with np.errstate(over="ignore"):  # an overflow to inf keeps the keys sorted
+        keys /= eps
+        keys *= _SUBBAND
+    np.floor(keys, out=keys)
+    bound = np.full(rows, n, dtype=itype)
+    a = 0
+    while a < len(u):
+        chunk = keys[a:a + _SLAB // _SUBBAND]
+        centres = chunk[np.r_[True, chunk[1:] != chunk[:-1]]]
+        lo = np.searchsorted(keys, centres - (_SUBBAND - 2), "left")
+        hi = np.searchsorted(keys, centres + (_SUBBAND - 1), "right")
+        ends = np.cumsum(hi - lo)
+        k = max(1, int(np.searchsorted(ends, _SLAB, "right")))
+        centres, lo, hi, ends = centres[:k], lo[:k], hi[:k], ends[:k]
+        size = hi - lo
+        # each centre's members in index order, one segment per centre
+        members = np.repeat(lo - ends + size, size)
+        members += np.arange(ends[-1])
+        members = order[members]
+        seg = np.repeat(np.arange(k), size)
+        members = seg * n + members
+        members.sort()
+        # the largest gap from each member on, within its segment
+        suffix = np.empty_like(members)
+        np.subtract(members[1:], members[:-1], out=suffix[:-1])
+        suffix[ends - 1] = 0
+        seg *= n + 1
+        suffix -= seg
+        np.maximum.accumulate(suffix[::-1], out=suffix[::-1])
+        suffix += seg
+        last = members[ends - 1] - np.arange(k) * n
+        # the rows among the positions of this slab's centres
+        b = int(np.searchsorted(keys, centres[-1], "right"))
+        r = order[a:b]
+        j = np.searchsorted(centres, keys[a:b])
+        j, r = j[r < rows], r[r < rows]
+        p = np.searchsorted(members, j * n + r)
+        x = u[r]
+        ok = ((p < ends[j] - 1) & (np.abs(u[order[lo[j]]] - x) < eps)
+              & (np.abs(u[order[hi[j] - 1]] - x) < eps))
+        bound[r[ok]] = np.maximum(suffix[p[ok]] - 1, n - 2 - first - last[j[ok]])
+        a = b
+    return bound
+
+
 def classify_regularity(
     isi: IsiSeq | np.ndarray,
     q: int,
@@ -105,38 +181,51 @@ def classify_regularity(
     earlier.  Almost strongly recurrent(N): every value recurs within N
     steps of every later position, N minimal for the sample; reported as
     unclassified when the required window exceeds a quarter of the
-    post-burn-in sample (insufficient evidence).
+    post-burn-in sample (insufficient evidence).  The quantifiers are
+    checked over the whole sample, but only the start positions whose
+    sub-band bound (:func:`_window_bounds`) could exceed the largest window
+    found so far are scanned in full, so the window is the exhaustive
+    scan's, usually at a small fraction of its O(n^2) cost.
     """
     v = isi.values if isinstance(isi, IsiSeq) else np.asarray(isi, dtype=float)
     n = len(v)
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got {q}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be nonnegative, got {burn_in}")
+    if not np.isfinite(v).all():
+        i = int(np.argmin(np.isfinite(v)))
+        raise ValueError(f"ISI {i} is not finite: {v[i]}")
     if n < burn_in + 4 * q:
         raise InsufficientDataError(
             f"need at least burn_in + 4q = {burn_in + 4 * q} intervals, got {n}"
         )
-    dq = np.abs(v[q:] - v[:-q])
-    if bool(np.all(dq < eps)):
+    dq = np.abs(v[q:] - v[:-q]) < eps
+    if bool(np.all(dq)):
         return RegularityResult("periodic", period=q, eps=eps, burn_in=burn_in, length=n)
-    if bool(np.all(dq[burn_in:] < eps)):
+    if bool(np.all(dq[burn_in:])):
         return RegularityResult(
             "asymptotically-periodic", period=q, eps=eps, burn_in=burn_in, length=n
         )
-    # recurrence-window scan; start positions whose remaining window is
-    # shorter than the acceptance budget cannot witness a recurrence and are
-    # excluded (finite-sample truncation)
+    # start positions whose remaining window is shorter than the acceptance
+    # budget cannot witness a recurrence and are excluded (finite-sample
+    # truncation); the rest are scanned in decreasing order of their bound
+    # until no bound left can raise the largest window found
     budget = (n - burn_in) // 4
+    bound = _window_bounds(v, eps, burn_in, n - budget - burn_in)
     worst = 0
-    ok = True
-    for i in range(burn_in, n - budget):
-        matches = np.flatnonzero(np.abs(v[i:] - v[i]) < eps)
-        if len(matches) < 2:
-            ok = False
+    for r in np.argsort(bound)[::-1]:
+        if bound[r] <= worst:
             break
-        gap = int(np.max(np.diff(matches))) - 1
-        if gap > worst:
-            worst = gap
-            if worst > budget:  # already unclassified
-                break
-    if ok and worst <= budget:
+        matches = _row_matches(v, burn_in + int(r), eps)
+        if len(matches) < 2:
+            return RegularityResult("unclassified", eps=eps, burn_in=burn_in, length=n)
+        worst = max(worst, int(np.max(np.diff(matches))) - 1)
+        if worst > budget:
+            break
+    if worst <= budget:
         return RegularityResult(
             "almost-strongly-recurrent", window=worst, eps=eps, burn_in=burn_in, length=n
         )

@@ -224,3 +224,37 @@ def threshold_gap(sig, sigma: float, t: float, x: float, dps: int = 40):
                 i = bisect_right(bs, float(a - mpmath.floor(a))) - 1
                 v += sig.values[i] * (decay(b) - decay(a)) / s
         return v - 1
+
+
+def recurrence_window_oracle(v, q: int, eps: float, burn_in: int = 1000):
+    """``classify_regularity`` by the exhaustive O(n^2) scan of every start
+    position after burn-in, in index order."""
+    from firingmap import RegularityResult
+
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    dq = np.abs(v[q:] - v[:-q])
+    if bool(np.all(dq < eps)):
+        return RegularityResult("periodic", period=q, eps=eps, burn_in=burn_in, length=n)
+    if bool(np.all(dq[burn_in:] < eps)):
+        return RegularityResult(
+            "asymptotically-periodic", period=q, eps=eps, burn_in=burn_in, length=n
+        )
+    budget = (n - burn_in) // 4
+    worst = 0
+    ok = True
+    for i in range(burn_in, n - budget):
+        matches = np.flatnonzero(np.abs(v[i:] - v[i]) < eps)
+        if len(matches) < 2:
+            ok = False
+            break
+        gap = int(np.max(np.diff(matches))) - 1
+        if gap > worst:
+            worst = gap
+            if worst > budget:
+                break
+    if ok and worst <= budget:
+        return RegularityResult(
+            "almost-strongly-recurrent", window=worst, eps=eps, burn_in=burn_in, length=n
+        )
+    return RegularityResult("unclassified", eps=eps, burn_in=burn_in, length=n)

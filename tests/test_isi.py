@@ -1,8 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+
+import firingmap.isi as isi
 
 from firingmap import (
     EmpiricalDist,
@@ -34,6 +39,7 @@ from helpers import (
     golden_pi,
     half_on_half_off,
     pi_half_on,
+    recurrence_window_oracle,
     translation_lif,
 )
 
@@ -94,6 +100,99 @@ def test_classify_stops_once_window_exceeds_budget(monkeypatch):
 def test_classify_insufficient_data():
     with pytest.raises(InsufficientDataError):
         classify_regularity(IsiSeq(np.ones(100)), q=10, eps=1e-6, burn_in=1000)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"q": -2}, "q must"),
+    ({"q": 0}, "q must"),
+    ({"eps": 0.0}, "eps must"),
+    ({"eps": -1.0}, "eps must"),
+    ({"eps": math.nan}, "eps must"),
+    ({"burn_in": -50}, "burn_in must"),
+    ({"bad": math.inf}, "ISI 123 is not finite"),
+    ({"bad": math.nan}, "ISI 123 is not finite"),
+])
+def test_classify_refuses_bad_arguments(kwargs, match):
+    v = np.tile([0.25, 0.5, 0.75], 200)
+    if "bad" in kwargs:
+        v[123] = v[400] = kwargs.pop("bad")
+    args = {"q": 3, "eps": 1e-3, "burn_in": 10, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        classify_regularity(v, **args)
+
+
+@st.composite
+def regularity_cases(draw):
+    """ISI arrays over a few values around a centre c: ties, values exactly
+    eps from c, matches of c just inside eps and values that match only some
+    of the others.  The array is cut into up to
+    three pieces that each draw from their own few values, so some values
+    stop recurring part way."""
+    eps = draw(st.sampled_from([1e-300, 1e-9, 0.1, 1.0]) | st.floats(1e-12, 2.0))
+    c = draw(st.integers(-20, 20).map(lambda k: k * eps) | st.sampled_from([0.3, 1e10]))
+    pool = [c + k * eps for k in (0.0, 0.75, -0.99, 0.99, 1.0, -1.0, 1.5, -1.5)]
+    pool += draw(st.lists(st.floats(-2.0, 2.0) | st.sampled_from([1e10, 2e10]), max_size=2))
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(4 * q, 200))
+    burn_in = draw(st.integers(0, n - 4 * q))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    v = []
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        v += draw(st.lists(st.sampled_from(values), min_size=b - a, max_size=b - a))
+    return np.array(v), q, eps, burn_in
+
+
+@settings(max_examples=400, deadline=None)
+@given(regularity_cases())
+# every value overflows to the same bucket: the sub-band must be checked
+@example((np.tile([1e10, 2e10], 40), 1, 1e-300, 0))
+# 0 matches -0.99 (outside its sub-band) but 0.75 does not: the recurrence
+# of -0.99 after 0's last sub-band member decides the window
+@example((np.array([0.0, 0.75, -0.99] + [1.5, -1.5] * 30 + [-0.99] + [1.5, -1.5] * 40), 1, 1.0, 0))
+def test_classify_equals_exhaustive_scan(case):
+    v, q, eps, burn_in = case
+    assert classify_regularity(v, q, eps, burn_in) == recurrence_window_oracle(v, q, eps, burn_in)
+
+
+def _budget_array():
+    v = np.tile([0.0, 1.0], 205)
+    v[10] = v[-1] = 5.0
+    return v
+
+
+# the benchmark's quasi-periodic sequence from three start times, then the
+# sequences of the classification tests above; a tuple is (beta, t0, n) of
+# a cosine_lif orbit
+@pytest.mark.parametrize("seq, q, eps, burn_in", [
+    *[((0.25, t0, 12_000), 10, eps, 1000) for t0 in (0.0, 0.3, 0.7) for eps in (3e-4, 1e-3, 1e-2)],
+    (np.full(2000, 0.7), 1, 1e-9, 100),
+    ((BETA_LOCKED_7_10, 0.123, 6000), 10, 1e-6, 1000),
+    ((0.25, 0.0, 6000), 10, 0.01, 1000),
+    (_budget_array(), 1, 1e-9, 10),
+])
+def test_classify_equals_exhaustive_scan_on_samples(seq, q, eps, burn_in):
+    v = iterate(cosine_lif(seq[0]), seq[1], seq[2]).isi if isinstance(seq, tuple) else seq
+    assert classify_regularity(v, q, eps, burn_in) == recurrence_window_oracle(v, q, eps, burn_in)
+
+
+# of the 8,250 and 35,250 start positions after burn-in
+@pytest.mark.parametrize("n, most", [(12_000, 600), (48_000, 3_000)])
+def test_classify_scans_few_rows_in_little_memory(monkeypatch, n, most):
+    v = iterate(cosine_lif(0.25), 0.3, n).isi
+    scans = []
+    row_matches = isi._row_matches
+    monkeypatch.setattr(isi, "_row_matches",
+                        lambda v, i, eps: scans.append(i) or row_matches(v, i, eps))
+    tracemalloc.start()
+    try:
+        res = classify_regularity(v, q=10, eps=1e-3, burn_in=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.kind == "almost-strongly-recurrent" and res.window == 410
+    assert len(scans) <= most
+    assert peak <= 2**20
 
 
 def test_pi_invariant_density_values():

@@ -119,7 +119,7 @@ def _window_bounds(v: np.ndarray, eps: float, first: int, rows: int) -> np.ndarr
     """
     n = len(v)
     u = v[first:]
-    itype = np.int32 if n < 2**31 else np.int64
+    itype = np.int32 if n < 2**31 else np.int64  # halves the per-interval memory
     order = np.argsort(u, kind="stable").astype(itype)
     keys = np.sort(u)
     with np.errstate(over="ignore"):  # an overflow to inf keeps the keys sorted

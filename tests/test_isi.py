@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import firingmap.isi as isi
-
 from firingmap import (
     EmpiricalDist,
     IFSystem,
@@ -125,9 +124,8 @@ def test_classify_refuses_bad_arguments(kwargs, match):
 def regularity_cases(draw):
     """ISI arrays over a few values around a centre c: ties, values exactly
     eps from c, matches of c just inside eps and values that match only some
-    of the others.  The array is cut into up to
-    three pieces that each draw from their own few values, so some values
-    stop recurring part way."""
+    of the others.  The array is cut into up to three pieces that each draw
+    from their own few values, so some values stop recurring part way."""
     eps = draw(st.sampled_from([1e-300, 1e-9, 0.1, 1.0]) | st.floats(1e-12, 2.0))
     c = draw(st.integers(-20, 20).map(lambda k: k * eps) | st.sampled_from([0.3, 1e10]))
     pool = [c + k * eps for k in (0.0, 0.75, -0.99, 0.99, 1.0, -1.0, 1.5, -1.5)]

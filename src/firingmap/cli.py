@@ -220,8 +220,10 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_simulate(cfg: RunConfig) -> int:
     system = _system_from(cfg, cfg.signal, cfg.sigma)
     orbit = iterate(system, cfg.t0, cfg.n)
-    rows = zip(range(1, len(orbit) + 1), orbit.times.tolist(), orbit.isi.tolist())
-    _emit(cfg, "index,time,isi\n" + "".join("%d,%.12g,%.12g\n" % row for row in rows))
+    n = len(orbit)
+    rows = [None] * (3 * n)  # index, time, isi of every row in turn, for one % pass
+    rows[::3], rows[1::3], rows[2::3] = range(1, n + 1), orbit.times.tolist(), orbit.isi.tolist()
+    _emit(cfg, "index,time,isi\n" + "%d,%.12g,%.12g\n" * n % tuple(rows))
     return 0
 
 

@@ -65,12 +65,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import IllPosedError, NoConvergenceError, NotDifferentiableError
-from .signals import (
-    EssentialBounds,
-    PeriodicSignal,
-    PiecewiseConstant,
-    Sampled,
-)
+from .signals import EssentialBounds, PeriodicSignal, PiecewiseConstant, Sampled
 
 _STRICT_TOL = 1e-9  # ess inf(f - sigma) must clear this to count as strict
 _RESIDUAL_TOL = 1e-13  # scaled threshold-equation residual at convergence
@@ -303,27 +298,33 @@ def _psi_table(system: IFSystem) -> tuple:
     c2 = 3*D - 2*m_j - m_{j+1} and c3 = m_j + m_{j+1} - 2*D, where
     m = Psi'/_PSI_GRID and D = Psi_{j+1} - Psi_j: four ``array('d')`` of
     _PSI_GRID entries, built for the first scalar or batched solve by one
-    cold batched solve of Psi on the grid.  Psi' = Phi' - 1 comes from
-    :func:`_slope`'s formula and is 0 where not finite (f(Phi) = 0, a jump).
+    cold batched solve of Psi on the grid.  Psi' comes from
+    :func:`_psi_slope` and is 0 where not finite (f(Phi) = 0, a jump).
     Empty when that solve fails: every solve then starts cold.
     """
     if system._psi is None:
-        sig, sigma = system.signal, system.sigma
-        kern, f = sig.kernel_array(sigma), sig.eval_array
+        kern = system.signal.kernel_array(system.sigma)
         ts = np.arange(_PSI_GRID + 1) / _PSI_GRID
         try:
             psi = _newton_batch(system, kern, ts, kern(ts)[0])
         except NoConvergenceError:
             system._psi = ()
             return ()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dpsi = f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
+        dpsi = _psi_slope(system, ts, psi)
         dpsi[~np.isfinite(dpsi)] = 0.0
         m, dy = dpsi / _PSI_GRID, np.diff(psi)
         m0, m1 = m[:-1], m[1:]
         coef = psi[:-1], m0, 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy
         system._psi = tuple(array("d", c.tobytes()) for c in coef)
     return system._psi
+
+
+def _psi_slope(system: IFSystem, ts: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Psi' = f(t)/(f(Phi) - sigma) e^{-sigma Psi} - 1 at ts, given psi = Psi(ts):
+    :func:`_slope`'s formula on arrays, unchecked (inf or nan where f(Phi) = sigma)."""
+    f, sigma = system.signal.eval_array, system.sigma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
 
 
 def _crossings(system: IFSystem, t0: float, n: int) -> np.ndarray:

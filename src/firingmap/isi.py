@@ -15,43 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CriticalValueError,
-    InsufficientDataError,
-    NotDifferentiableError,
-    RationalRotationError,
-)
-from .firing import (
-    IFSystem,
-    Orbit,
-    Regime,
-    _firing_batch,
-    _slope,
-    displacement,
-    firing_time,
-    firing_times,
-    iterate,
-)
+from .errors import (CriticalValueError, InsufficientDataError, NotDifferentiableError,
+                     RationalRotationError)
+from .firing import (_RESIDUAL_TOL, IFSystem, Orbit, Regime, _firing_batch, _max_displacement,
+                     _min_slope, _psi_slope, _slope, displacement, firing_time, firing_times,
+                     iterate)
 from .rotation import detect_locking
 from .signals import PeriodicSignal, TrigPolynomial
-
-
-def _golden_min(fn, a: float, b: float, tol: float = 1e-12) -> float:
-    """Argmin of a unimodal function on [a, b] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -331,26 +301,50 @@ def check_measure_invariance(signal: PeriodicSignal, intervals) -> float:
 
 
 def displacement_range(system: IFSystem) -> tuple[float, float]:
-    """[min, max] of the displacement Psi over one period (strict regime).
-
-    A 512-point grid scan refined by golden-section search around the grid extrema.
-    """
+    """[min, max] of the displacement Psi over one period (strict regime): a
+    512-point grid scan, refined at the zeros of Psi' (:func:`_psi_critical`)."""
     ts = np.arange(512) / 512
-    return _psi_extrema(system, ts, displacement(system, ts))
+    return _psi_critical(system, ts, displacement(system, ts))[:2]
 
 
-def _psi_extrema(system: IFSystem, ts: np.ndarray, psi: np.ndarray) -> tuple[float, float]:
-    """:func:`displacement_range` from Psi on the uniform grid ts of [0, 1)."""
+def _psi_critical(system: IFSystem, ts: np.ndarray, psi: np.ndarray):
+    """``(lo, hi, crit)`` from Psi on the uniform grid ts of [0, 1): the
+    critical values of Psi, and the extremes of them and the grid values.
+
+    They are Psi at the grid points where Psi' (:func:`_psi_slope`) is 0,
+    and :func:`_critical_value` in every cell whose ends have Psi' of
+    opposite signs (the last cell wraps to 1.0): a zero of Psi' or a kink.
+    """
     if system.regime is not Regime.STRICT_LIF:
         raise ValueError("displacement_range requires the strict regime")
-    h = 1.0 / ts.size
-    i_lo = int(np.argmin(psi))
-    i_hi = int(np.argmax(psi))
-    t_lo = _golden_min(lambda t: displacement(system, t), float(ts[i_lo]) - h, float(ts[i_lo]) + h)
-    t_hi = _golden_min(lambda t: -displacement(system, t), float(ts[i_hi]) - h, float(ts[i_hi]) + h)
-    lo = min(float(psi[i_lo]), displacement(system, t_lo))
-    hi = max(float(psi[i_hi]), displacement(system, t_hi))
-    return lo, hi
+    d0 = _psi_slope(system, ts, psi)
+    d1 = np.roll(d0, -1)
+    cells = np.flatnonzero(d0 * d1 < 0.0)
+    crit = psi[d0 == 0.0].tolist() + [
+        _critical_value(system, t, t + 1.0 / ts.size, a, b)
+        for t, a, b in zip(ts[cells].tolist(), d0[cells].tolist(), d1[cells].tolist())]
+    return min([float(psi.min()), *crit]), max([float(psi.max()), *crit]), crit
+
+
+def _critical_value(system: IFSystem, a: float, b: float, da: float, db: float) -> float:
+    """Psi at the zero of Psi' in [a, b], where Psi' goes from da to db across 0,
+    by Illinois regula falsi on scalar solves: an end kept twice in a row has
+    its Psi' halved, so both ends close in, on a kink of a step drive too.
+    Stops at Psi' = 0 or ends within 1e-13, and returns Psi at its last point.
+    """
+    sig, sigma = system.signal, system.sigma
+    kept = 0  # 1 when the last step kept a, -1 when it kept b
+    for _ in range(100):
+        t = b - db * (b - a) / (db - da)
+        psi = firing_time(system, t) - t
+        d = sig.eval(t) / (sig.eval(t + psi) - sigma) * math.exp(-sigma * psi) - 1.0
+        if (d > 0.0) == (db > 0.0):  # t replaces b, and a is kept
+            b, db, da, kept = t, d, da * 0.5 if kept > 0 else da, 1
+        else:
+            a, da, db, kept = t, d, db * 0.5 if kept < 0 else db, -1
+        if d == 0.0 or b - a <= 1e-13:
+            break
+    return psi
 
 
 @dataclass(frozen=True)
@@ -390,10 +384,14 @@ def _psi_roots(system: IFSystem, ts: np.ndarray, psi_grid: np.ndarray, ys: np.nd
     ``psi_grid`` is Psi on the grid ``ts``, whose last point 1.0 wraps to
     0.  A grid cell holds a root where its left end equals y, or where its
     ends straddle y; a binary search over the sorted ys finds them per cell,
-    so memory stays O(grid + roots).  All straddling cells are bisected
-    together, each step one batched solve warm-started at Phi(t) - t = y.
-    Returns ``(j, t)``, the index into ys of each root t, ordered by j and
-    then by cell.
+    so memory stays O(grid + roots).  Each straddling cell is a lane of
+    Newton on Psi - y with the slope :func:`_psi_slope`, from the chord's
+    zero, safeguarded by the ``rtsafe`` rule of :func:`_newton_batch`; a
+    round is one batched solve, warm-started at Psi = y.  A lane stops once
+    |Psi - y| is within the solver's acceptance radius _RESIDUAL_TOL / L +
+    width_tol (L = ess inf(f - sigma)), or its step or bracket is below
+    1e-14.  Returns ``(j, t)``, the index into ys of each root t, ordered by
+    j and then by cell.
     """
     order = np.argsort(ys, kind="stable")
     ys_sorted = ys[order]
@@ -404,24 +402,33 @@ def _psi_roots(system: IFSystem, ts: np.ndarray, psi_grid: np.ndarray, ys: np.nd
                           np.searchsorted(ys_sorted, np.maximum(left, right), side="left"))
     y = ys_sorted[j]
     lo, hi, glo = ts[cell], ts[cell + 1], left[cell] - y
-    roots = np.empty(cell.size)
-    lane = np.arange(cell.size)
+    x = lo - glo * (hi - lo) / (right[cell] - y - glo)
+    slope = _min_slope(system)  # 0 where a perfect integrator's drive touches 0: no bound
+    width_tol = max(1e-15, 1e-15 * _max_displacement(system), 8e-16 * float(np.abs(ts).max()))
+    radius = width_tol + (_RESIDUAL_TOL / slope if slope else 0.0)
+    roots, lane = np.empty(cell.size), np.arange(cell.size)
+    step = step_old = hi - lo  # the previous step and the one before
     for _ in range(80):
         if not lane.size:
             break
-        mid = 0.5 * (lo + hi)
-        gm = _firing_batch(system, mid, y) - mid - y
-        same = (gm > 0.0) == (glo > 0.0)
-        lo, glo, hi = np.where(same, mid, lo), np.where(same, gm, glo), np.where(same, hi, mid)
-        zero = gm == 0.0
-        lo, hi = np.where(zero, mid, lo), np.where(zero, mid, hi)
-        stop = zero | (hi - lo < 1e-14)
-        roots[lane[stop]] = 0.5 * (lo[stop] + hi[stop])
+        psi = _firing_batch(system, x, y) - x
+        g = psi - y
+        same = (g > 0.0) == (glo > 0.0)
+        lo, glo, hi = np.where(same, x, lo), np.where(same, g, glo), np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = x - g / _psi_slope(system, x, psi)
+        dx = np.abs(cand - x)
+        newton = (lo < cand) & (cand < hi) & (dx + dx <= step_old)
+        step_old, step = step, np.where(newton, dx, 0.5 * (hi - lo))
+        fit = np.abs(g) <= radius
+        x = np.where(fit, x, np.where(newton, cand, 0.5 * (lo + hi)))
+        stop = fit | (step < 1e-14) | (hi - lo < 1e-14)
+        roots[lane[stop]] = x[stop]
         keep = ~stop
-        lane, lo, hi, glo, y = lane[keep], lo[keep], hi[keep], glo[keep], y[keep]
-    roots[lane] = 0.5 * (lo + hi)
-    cells = np.concatenate([hit_cell, cell])
-    js = np.concatenate([hit_j, j])
+        lane, x, lo, hi, glo, y, step, step_old = (
+            a[keep] for a in (lane, x, lo, hi, glo, y, step, step_old))
+    roots[lane] = x
+    cells, js = np.concatenate([hit_cell, cell]), np.concatenate([hit_j, j])
     by = np.lexsort((cells, js))
     return order[js[by]], np.concatenate([ts[hit_cell], roots])[by]
 
@@ -443,7 +450,9 @@ def isi_density_pi(
     trigonometric-polynomial input and an irrational rotation number at
     tolerance (locking raises :class:`RationalRotationError`).  The n_y-point
     y grid is cosine-spaced inside the open range, so the integrable
-    inverse-square-root singularities at the endpoints are resolved.
+    inverse-square-root singularities at the endpoints are resolved.  The
+    range and critical values come from :func:`_psi_critical`, Psi^{-1}(y)
+    from :func:`_psi_roots`, both on the root_grid_size-cell grid of Psi.
     """
     if not isinstance(signal, TrigPolynomial):
         raise ValueError("closed-form density needs a trigonometric-polynomial input")
@@ -459,23 +468,12 @@ def isi_density_pi(
 
     ts = np.linspace(0.0, 1.0, root_grid_size + 1)
     psi_grid = displacement(system, ts)
-    lo, hi = _psi_extrema(system, ts[:-1], psi_grid[:-1])
+    lo, hi, crit = _psi_critical(system, ts[:-1], psi_grid[:-1])
     width = hi - lo
     if width <= 0.0:
         raise RationalRotationError("degenerate displacement range (rigid rotation)")
-
     # critical values: range endpoints plus interior zeros of Psi'
-    crit_vals = [lo, hi]
-    dpsi = signal.eval_array(ts) / signal.eval_array(ts + psi_grid) - 1.0
-    for i in range(root_grid_size):
-        if dpsi[i] == 0.0 or dpsi[i] * dpsi[i + 1] < 0.0:
-            tc = _golden_min(
-                lambda t: abs(signal.eval(t) / signal.eval(t + displacement(system, t)) - 1.0),
-                float(ts[i]),
-                float(ts[i + 1]),
-            )
-            crit_vals.append(displacement(system, tc))
-    crit_vals = np.array(sorted(set(crit_vals)))
+    crit_vals = np.array(sorted({lo, hi, *crit}))
 
     pad = 1e-9 * width
     theta = np.linspace(0.0, math.pi, n_y)

@@ -1,6 +1,8 @@
 """Shared system factories and the test suite's oracles: exact step-drive
 integrals and crossings, the extrema of a trigonometric drive and its
-40-digit values, and the 40-digit threshold gap of a leaky system."""
+40-digit values, the 40-digit threshold gap of a leaky system, the level
+sets of the displacement by plain bisection and the exhaustive recurrence
+scan."""
 
 import math
 from bisect import bisect_right
@@ -258,3 +260,40 @@ def recurrence_window_oracle(v, q: int, eps: float, burn_in: int = 1000):
             "almost-strongly-recurrent", window=worst, eps=eps, burn_in=burn_in, length=n
         )
     return RegularityResult("unclassified", eps=eps, burn_in=burn_in, length=n)
+
+
+def psi_roots_oracle(system, ts, psi_grid, ys):
+    """``isi._psi_roots`` by plain bisection of every straddling grid cell,
+    all cells together, to a bracket below 1e-14: same cells, same order."""
+    from firingmap.firing import _firing_batch
+    from firingmap.isi import _cell_pairs
+
+    order = np.argsort(ys, kind="stable")
+    ys_sorted = ys[order]
+    left, right = psi_grid[:-1], psi_grid[1:]
+    hit_cell, hit_j = _cell_pairs(np.searchsorted(ys_sorted, left, side="left"),
+                                  np.searchsorted(ys_sorted, left, side="right"))
+    cell, j = _cell_pairs(np.searchsorted(ys_sorted, np.minimum(left, right), side="right"),
+                          np.searchsorted(ys_sorted, np.maximum(left, right), side="left"))
+    y = ys_sorted[j]
+    lo, hi, glo = ts[cell], ts[cell + 1], left[cell] - y
+    roots = np.empty(cell.size)
+    lane = np.arange(cell.size)
+    for _ in range(80):
+        if not lane.size:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = _firing_batch(system, mid, y) - mid - y
+        same = (gm > 0.0) == (glo > 0.0)
+        lo, glo, hi = np.where(same, mid, lo), np.where(same, gm, glo), np.where(same, hi, mid)
+        zero = gm == 0.0
+        lo, hi = np.where(zero, mid, lo), np.where(zero, mid, hi)
+        stop = zero | (hi - lo < 1e-14)
+        roots[lane[stop]] = 0.5 * (lo[stop] + hi[stop])
+        keep = ~stop
+        lane, lo, hi, glo, y = lane[keep], lo[keep], hi[keep], glo[keep], y[keep]
+    roots[lane] = 0.5 * (lo + hi)
+    cells = np.concatenate([hit_cell, cell])
+    js = np.concatenate([hit_j, j])
+    by = np.lexsort((cells, js))
+    return order[js[by]], np.concatenate([ts[hit_cell], roots])[by]

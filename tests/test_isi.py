@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import firingmap.firing as firing
 import firingmap.isi as isi
 from firingmap import (
     EmpiricalDist,
@@ -14,18 +15,24 @@ from firingmap import (
     IllPosedError,
     InsufficientDataError,
     IsiSeq,
+    PiecewiseConstant,
     RationalRotationError,
+    Sampled,
     TrigPolynomial,
     check_measure_invariance,
     classify_regularity,
     cluster_values,
     constant,
+    displacement,
     displacement_range,
     empirical_isi_dist,
+    firing_time,
+    firing_times,
     fortet_mourier,
     isi_density_pi,
     isi_sequence,
     iterate,
+    parse_signal,
     perturbation_harness,
     pi_invariant_density,
     rotation_number,
@@ -38,6 +45,7 @@ from helpers import (
     golden_pi,
     half_on_half_off,
     pi_half_on,
+    psi_roots_oracle,
     recurrence_window_oracle,
     translation_lif,
 )
@@ -238,6 +246,50 @@ def test_displacement_range_pi_straddles_half():
     assert lo < 0.5 < hi
 
 
+def _kinks(system):
+    """Where Psi of a step drive has kinks in [0, 1): the breakpoints and
+    their preimages under Phi, the latter by bisection on the monotone map."""
+    bs = np.asarray(system.signal.breakpoints, dtype=float)
+    target = bs + np.ceil(firing_time(system, 0.0) - bs)  # in [Phi(0), Phi(0) + 1)
+    lo, hi = np.zeros_like(bs), np.ones_like(bs)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = firing_times(system, mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.concatenate([bs, lo, hi])
+
+
+@pytest.mark.parametrize("system", [
+    IFSystem(1.0, parse_signal("pwc:0,3;0.3,1.5;0.7,2.2")),
+    IFSystem(1.0, Sampled(2.0 + 0.8 * np.sin(2 * np.pi * np.arange(48) / 48))),
+], ids=["step", "sampled"])
+def test_displacement_range_on_kinked_drives(system):
+    # a uniform grid misses the value at a kink by up to |Psi'| h (2e-6 for
+    # the step drive at h = 2**-15), so the brute-force grid holds the kinks
+    ts = np.arange(2**15) / 2**15
+    if isinstance(system.signal, PiecewiseConstant):
+        ts = np.concatenate([ts, _kinks(system)])
+    psi = displacement(system, ts)
+    g_lo, g_hi = float(psi.min()), float(psi.max())
+    lo, hi = displacement_range(system)
+    assert g_lo - 1e-7 <= lo <= g_lo + 1e-12
+    assert g_hi - 1e-12 <= hi <= g_hi + 1e-7
+
+
+def test_displacement_range_takes_few_scalar_solves(monkeypatch):
+    # one regula-falsi search per extremum, a handful of scalar solves each;
+    # golden-section search took 98
+    calls, crossings = [], firing._crossings
+
+    def counted(system, t0, n):
+        calls.append(n)
+        return crossings(system, t0, n)
+
+    monkeypatch.setattr(firing, "_crossings", counted)
+    displacement_range(cosine_lif(0.25))
+    assert 0 < len(calls) <= 40
+
+
 def test_displacement_range_requires_strict():
     with pytest.raises(ValueError):
         displacement_range(pi_half_on())
@@ -351,6 +403,72 @@ def test_density_root_count_even_off_critical():
     # every root solves Psi(t) = y
     for jj, t in zip(j.tolist(), roots.tolist()):
         assert firing_time(system, t) - t == pytest.approx(ys[jj], abs=1e-9)
+
+
+TWO_HARMONIC = TrigPolynomial(GOLDEN_A0, [(1, 0.35, 0.0), (2, 0.0, 0.2)])
+
+
+@pytest.mark.parametrize("signal", [golden_pi().signal, TWO_HARMONIC], ids=["golden", "two"])
+def test_psi_roots_takes_few_batched_rounds(monkeypatch, signal):
+    # isi_density_pi's only batched solves are the rounds of the root search
+    # (isi's own binding of firing._firing_batch); bisection took 36 rounds
+    # and some 33,000 lane-solves
+    rounds, batch = [], isi._firing_batch
+
+    def counted(system, ts, d=None):
+        rounds.append(ts.size)
+        return batch(system, ts, d)
+
+    monkeypatch.setattr(isi, "_firing_batch", counted)
+    isi_density_pi(signal)
+    assert 0 < len(rounds) <= 6
+    assert sum(rounds) <= 4000
+
+
+@st.composite
+def level_set_cases(draw):
+    """A strict system (sigma = 0 with a trig drive, or sigma > 0 with a
+    trig, step or sampled drive), Psi on a uniform grid of [0, 1], and
+    levels y: random ones, ones next to the range ends and grid values."""
+    sigma = draw(st.sampled_from([0.0, 0.0, 0.25, 1.0, 2.5]))
+    kind = "trig" if sigma == 0.0 else draw(st.sampled_from(["trig", "step", "sampled"]))
+    level = st.floats(0.2, 3.0)
+    if kind == "trig":
+        ks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        hs = [(k, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))) for k in ks]
+        a0 = sigma + 0.2 + sum(abs(c) + abs(s) for _, c, s in hs) + draw(st.floats(0.0, 1.0))
+        signal = TrigPolynomial(a0, hs)
+    elif kind == "step":
+        inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+        breaks = [0.0] + sorted(inner)
+        signal = PiecewiseConstant(breaks, [sigma + draw(level) for _ in breaks])
+    else:
+        signal = Sampled([sigma + draw(level) for _ in range(draw(st.integers(2, 40)))])
+    system = IFSystem(sigma, signal)
+    ts = np.linspace(0.0, 1.0, draw(st.sampled_from([33, 257, 2049])))
+    psi = displacement(system, ts)
+    lo, hi = float(psi.min()), float(psi.max())
+    fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=12))
+    ends = [1e-12, 1e-9, 1e-6, 1e-3]
+    ys = [lo + (hi - lo) * u for u in fracs + ends] + [hi - (hi - lo) * u for u in ends]
+    ys += draw(st.lists(st.sampled_from(psi.tolist()), max_size=3))
+    return system, ts, psi, np.array(ys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(level_set_cases())
+def test_psi_roots_match_bisection(case):
+    system, ts, psi, ys = case
+    j, t = isi._psi_roots(system, ts, psi, ys)
+    j_ref, t_ref = psi_roots_oracle(system, ts, psi, ys)
+    assert j.tolist() == j_ref.tolist()  # so the same root count for every y
+    cell = np.minimum(np.searchsorted(ts, t_ref, side="right") - 1, ts.size - 2)
+    assert np.all((ts[cell] <= t) & (t <= ts[cell + 1]))
+    # within twice the solver's acceptance radius: one for the search's Psi,
+    # one for this recomputation
+    width_tol = max(1e-15, 1e-15 * firing._max_displacement(system))
+    radius = firing._RESIDUAL_TOL / firing._min_slope(system) + width_tol
+    assert np.all(np.abs(firing_times(system, t) - t - ys[j]) <= 2.0 * radius)
 
 
 def test_perturbation_harness_identity():

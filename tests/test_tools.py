@@ -81,3 +81,23 @@ def test_orbit_digest_covers_every_benchmark_system():
     assert all(line.split()[9] == "evals/spike" for line in lines)
     assert evals.pop("orbits/step_pi") == 0.0
     assert all(1.0 <= v < 3.0 for v in evals.values())
+
+
+def test_orbit_digest_prints_density_and_range_lines():
+    od = _load_orbit_digest()
+    specs = od.load_specs()
+    buf = io.StringIO()
+    od.analyses(out=buf)
+    lines = [line.split() for line in buf.getvalue().splitlines()]
+    names = ["density/golden_pi", "density/two_harmonic_pi"]
+    names += [f"range/beta={beta!r}" for beta in specs.RANGE_BETAS]
+    assert [line[0] for line in lines] == names
+    assert all(len(line[1]) == 16 and int(line[1], 16) >= 0 for line in lines)
+    # a density line ends with the root count of its level-set search, which
+    # is even off the critical values: two roots per y on these drives
+    for line in lines[:2]:
+        assert len(line) == 4 and line[2] == "roots"
+        assert int(line[3]) > 0 and int(line[3]) % 2 == 0
+    # a range line ends with lo and hi, lo < hi
+    for line in lines[2:]:
+        assert len(line) == 4 and float(line[2]) < float(line[3])

@@ -14,6 +14,12 @@ count and the sha256 of every value's bytes, in order (orbits, then grid,
 per system).  Two revisions whose last lines agree return the same floats,
 bit for bit, on all of these inputs; where only the grid hashes differ, the
 scalar orbits are unchanged.  The evaluation counts stay out of every hash.
+
+Before that last line, and outside its hash, come the grid analyses of the
+``isi-density`` workload: for each ``isi_density_pi`` drive a line with the
+first 16 hex digits of the sha256 of its y grid, density and singular flags
+and the number of roots of its level-set search, and for each
+``displacement_range`` system one with the hash of (lo, hi) and the values.
 """
 
 from __future__ import annotations
@@ -84,8 +90,44 @@ def digest(n: int, out=None) -> tuple[int, str]:
     return count, total.hexdigest()
 
 
+def _hash(*arrays) -> str:
+    own = hashlib.sha256()
+    for a in arrays:
+        own.update(np.ascontiguousarray(a).tobytes())
+    return own.hexdigest()[:16]
+
+
+def analyses(out=None) -> None:
+    """Write the density and displacement-range lines to ``out`` (default stdout)."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    import firingmap as fm
+
+    specs = load_specs()
+    systems = specs.build_systems(fm, "isi-density")
+    roots, search = [], fm.isi._psi_roots
+
+    def counted(*args):
+        j, t = search(*args)
+        roots.append(t.size)
+        return j, t
+
+    fm.isi._psi_roots = counted
+    try:
+        for name in ("golden_pi", "two_harmonic_pi"):
+            curve = fm.isi.isi_density_pi(systems[name].signal)
+            print(f"density/{name} {_hash(curve.y, curve.density, curve.singular)} "
+                  f"roots {roots[-1]}", file=out)
+    finally:
+        fm.isi._psi_roots = search
+    for beta in specs.RANGE_BETAS:
+        lo, hi = fm.isi.displacement_range(systems[f"beta={beta!r}"])
+        print(f"range/beta={beta!r} {_hash(np.array([lo, hi]))} {lo!r} {hi!r}", file=out)
+
+
 def main():
     count, sha = digest(20_000)
+    analyses()
     print(f"values {count} sha256 {sha}")
 
 

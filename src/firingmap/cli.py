@@ -338,11 +338,12 @@ def cmd_density(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     base = _system_from(cfg, cfg.signal, cfg.sigma)
-    if base.regime is not Regime.STRICT_LIF:
-        raise UsageError("compare requires a base system in the strict regime")
     sigma2 = cfg.sigma if cfg.sigma2 is None else cfg.sigma2
     perturbed = _system_from(cfg, cfg.signal2, sigma2)
-    report = perturbation_harness(base, perturbed, orbit_len=cfg.n, t0=cfg.t0)
+    try:
+        report = perturbation_harness(base, perturbed, orbit_len=cfg.n, t0=cfg.t0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     payload = {
         "sup_phi_dev": _jnum(report.sup_phi_dev),
         "sup_dphi_dev": _jnum(report.sup_dphi_dev),

@@ -321,7 +321,8 @@ def _psi_table(system: IFSystem) -> tuple:
 
 def _psi_slope(system: IFSystem, ts: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Psi' = f(t)/(f(Phi) - sigma) e^{-sigma Psi} - 1 at ts, given psi = Psi(ts):
-    :func:`_slope`'s formula on arrays, unchecked (inf or nan where f(Phi) = sigma)."""
+    :func:`_slope`'s formula, unchecked, so one-sided at a jump of the input
+    (inf or nan where f(Phi) = sigma)."""
     f, sigma = system.signal.eval_array, system.sigma
     with np.errstate(divide="ignore", invalid="ignore"):
         return f(ts) / (f(ts + psi) - sigma) * np.exp(-sigma * psi) - 1.0
@@ -522,28 +523,29 @@ def iterate(system: IFSystem, t0: float, n: int) -> Orbit:
 
 
 def derivative(system: IFSystem, t: float) -> float:
-    """Slope of the firing map, Phi'(t) = f(t)/(f(Phi(t)) - sigma) * e^{-sigma(Phi(t)-t)}.
+    """Slope of the firing map, Phi'(t) = f(t)/(f(Phi(t)) - sigma) * e^{-sigma(Phi(t)-t)};
+    raises :class:`NotDifferentiableError` where :func:`_slope` finds none."""
+    phi = firing_time(system, t)
+    slope = float(_slope(system, np.array([t]), np.array([phi]))[0])
+    if math.isnan(slope):
+        raise NotDifferentiableError(
+            f"the firing map has no slope at t={t!r}, Phi(t)={phi!r}: the input jumps at t or "
+            "Phi(t), |f(Phi(t)) - sigma| < 1e-12, or sigma = 0 and f(t) or f(Phi(t)) <= 0")
+    return slope
 
-    Requires the input to be continuous at t and Phi(t) and the denominator
-    to be bounded away from zero; raises :class:`NotDifferentiableError`
-    otherwise.
-    """
-    return _slope(system, t, firing_time(system, t))
 
-
-def _slope(system: IFSystem, t: float, phi: float) -> float:
-    """:func:`derivative` at t, given phi = Phi(t)."""
-    regime = system.regime
-    sig = system.signal
-    if not sig.is_continuous_at(t) or not sig.is_continuous_at(phi):
-        raise NotDifferentiableError(f"input is discontinuous at t={t} or Phi(t)={phi}")
-    ft = sig.eval(t)
-    denom = sig.eval(phi) - system.sigma
-    if regime is Regime.NONNEG_PI and (ft <= 0.0 or denom <= 0.0):
-        raise NotDifferentiableError("input must be strictly positive at t and Phi(t)")
-    if abs(denom) < 1e-12:
-        raise NotDifferentiableError("f(Phi(t)) - sigma vanishes; slope is undefined")
-    return ft / denom * math.exp(-system.sigma * (phi - t))
+def _slope(system: IFSystem, ts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Phi' at the array ts, given phi = Phi(ts); NaN where the map has no slope:
+    where the input jumps at t or Phi(t), where |f(Phi) - sigma| < 1e-12, and,
+    for the nonnegative perfect integrator, where f(t) <= 0 or f(Phi) <= 0."""
+    sig, sigma = system.signal, system.sigma
+    ft, fphi = sig.eval_array(ts), sig.eval_array(phi)
+    denom = fphi - sigma
+    ok = sig.is_continuous_at(ts) & sig.is_continuous_at(phi) & (np.abs(denom) >= 1e-12)
+    if system.regime is Regime.NONNEG_PI:
+        ok &= (ft > 0.0) & (fphi > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, ft / denom * np.exp(-sigma * (phi - ts)), np.nan)
 
 
 def check_lift(system: IFSystem, grid) -> float:

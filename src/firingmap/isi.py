@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CriticalValueError, InsufficientDataError, NotDifferentiableError,
+from .errors import (CriticalValueError, InsufficientDataError, NoConvergenceError,
                      RationalRotationError)
-from .firing import (_RESIDUAL_TOL, IFSystem, Orbit, Regime, _firing_batch, _max_displacement,
-                     _min_slope, _psi_slope, _slope, displacement, firing_time, firing_times,
-                     iterate)
+from .firing import (_PSI_GRID, _RESIDUAL_TOL, IFSystem, Orbit, Regime, _firing_batch,
+                     _max_displacement, _min_slope, _psi_slope, _psi_table, _slope, firing_time,
+                     firing_times, iterate)
 from .rotation import detect_locking
 from .signals import PeriodicSignal, TrigPolynomial
 
@@ -301,29 +301,32 @@ def check_measure_invariance(signal: PeriodicSignal, intervals) -> float:
 
 
 def displacement_range(system: IFSystem) -> tuple[float, float]:
-    """[min, max] of the displacement Psi over one period (strict regime): a
-    512-point grid scan, refined at the zeros of Psi' (:func:`_psi_critical`)."""
-    ts = np.arange(512) / 512
-    return _psi_critical(system, ts, displacement(system, ts))[:2]
+    """[min, max] of the displacement Psi over one period (strict regime): Psi at
+    the system's table nodes, refined at the zeros of Psi' (:func:`_psi_critical`)."""
+    return _psi_critical(system)[:2]
 
 
-def _psi_critical(system: IFSystem, ts: np.ndarray, psi: np.ndarray):
-    """``(lo, hi, crit)`` from Psi on the uniform grid ts of [0, 1): the
-    critical values of Psi, and the extremes of them and the grid values.
-
-    They are Psi at the grid points where Psi' (:func:`_psi_slope`) is 0,
-    and :func:`_critical_value` in every cell whose ends have Psi' of
-    opposite signs (the last cell wraps to 1.0): a zero of Psi' or a kink.
+def _psi_critical(system: IFSystem):
+    """``(lo, hi, crit, psi)``: psi is Psi at the nodes j/_PSI_GRID < 1 of
+    :func:`_psi_table` (its c0, with Psi' = c1 * _PSI_GRID); crit is Psi at the
+    nodes where Psi' is 0 and :func:`_critical_value` in every cell whose ends
+    have Psi' of opposite signs (the last cell wraps to 1.0), a zero of Psi'
+    or a kink; lo and hi are the extremes of crit and psi.  Needs the strict
+    regime, ess inf(f - sigma) > 0, where Psi' is finite.
     """
     if system.regime is not Regime.STRICT_LIF:
-        raise ValueError("displacement_range requires the strict regime")
-    d0 = _psi_slope(system, ts, psi)
+        raise ValueError("the displacement analyses need the strict regime, ess inf(f - sigma)"
+                         f" > 0; the certified bound is {system.bounds.lower:.6g}")
+    table = _psi_table(system)
+    if not table:
+        raise NoConvergenceError(f"the solve of Psi at the nodes j/{_PSI_GRID} did not converge")
+    psi, d0 = np.frombuffer(table[0]), np.frombuffer(table[1]) * _PSI_GRID
     d1 = np.roll(d0, -1)
     cells = np.flatnonzero(d0 * d1 < 0.0)
     crit = psi[d0 == 0.0].tolist() + [
-        _critical_value(system, t, t + 1.0 / ts.size, a, b)
-        for t, a, b in zip(ts[cells].tolist(), d0[cells].tolist(), d1[cells].tolist())]
-    return min([float(psi.min()), *crit]), max([float(psi.max()), *crit]), crit
+        _critical_value(system, j / _PSI_GRID, (j + 1) / _PSI_GRID, a, b)
+        for j, a, b in zip(cells.tolist(), d0[cells].tolist(), d1[cells].tolist())]
+    return min([float(psi.min()), *crit]), max([float(psi.max()), *crit]), crit, psi
 
 
 def _critical_value(system: IFSystem, a: float, b: float, da: float, db: float) -> float:
@@ -435,8 +438,6 @@ def _psi_roots(system: IFSystem, ts: np.ndarray, psi_grid: np.ndarray, ys: np.nd
 
 def isi_density_pi(
     signal: PeriodicSignal,
-    root_grid_size: int = 2048,
-    n_y: int = 512,
     q_max: int = 64,
     residual_tol: float = 1e-8,
 ) -> DensityCurve:
@@ -444,15 +445,16 @@ def isi_density_pi(
 
     At y inside the displacement range the density is
 
-        sum over t in Psi^{-1}(y) of [f(t)/mean(f)] * f(t+y) / |f(t) - f(t+y)|,
+        sum over t in Psi^{-1}(y) of mu(t) / |Psi'(t)|,  mu(t) = f(t)/mean(f),
 
-    the invariant density transported through the displacement.  Requires a
-    trigonometric-polynomial input and an irrational rotation number at
-    tolerance (locking raises :class:`RationalRotationError`).  The n_y-point
-    y grid is cosine-spaced inside the open range, so the integrable
-    inverse-square-root singularities at the endpoints are resolved.  The
-    range and critical values come from :func:`_psi_critical`, Psi^{-1}(y)
-    from :func:`_psi_roots`, both on the root_grid_size-cell grid of Psi.
+    the invariant density transported through the displacement (Psi' from
+    :func:`_psi_slope`).  Requires a strictly positive trigonometric-polynomial
+    input and an irrational rotation number at tolerance (locking raises
+    :class:`RationalRotationError`).  The 512-point y grid is cosine-spaced
+    inside the open range, so the integrable inverse-square-root singularities
+    at the endpoints are resolved.  The range and critical values come from
+    :func:`_psi_critical`, Psi^{-1}(y) from :func:`_psi_roots`, both on the
+    nodes of the system's warm-start table.
     """
     if not isinstance(signal, TrigPolynomial):
         raise ValueError("closed-form density needs a trigonometric-polynomial input")
@@ -464,39 +466,31 @@ def isi_density_pi(
             f"rotation number is rational at tolerance: {locking.p}/{locking.q} "
             f"(residual {locking.residual:.3e})"
         )
-    mean = signal.mean()
-
-    ts = np.linspace(0.0, 1.0, root_grid_size + 1)
-    psi_grid = displacement(system, ts)
-    lo, hi, crit = _psi_critical(system, ts[:-1], psi_grid[:-1])
+    lo, hi, crit, psi = _psi_critical(system)
     width = hi - lo
     if width <= 0.0:
         raise RationalRotationError("degenerate displacement range (rigid rotation)")
     # critical values: range endpoints plus interior zeros of Psi'
     crit_vals = np.array(sorted({lo, hi, *crit}))
 
-    pad = 1e-9 * width
-    theta = np.linspace(0.0, math.pi, n_y)
+    pad = 1e-9 * width  # far above the rounding of ys, which so stay inside [lo, hi]
+    theta = np.linspace(0.0, math.pi, 512)
     ys = (lo + pad) + 0.5 * (width - 2 * pad) * (1.0 - np.cos(theta))
 
-    inside = (ys >= lo) & (ys <= hi)
     k = np.clip(np.searchsorted(crit_vals, ys), 1, crit_vals.size - 1)
-    near = np.minimum(np.abs(crit_vals[k - 1] - ys), np.abs(crit_vals[k] - ys)) < 1e-6
-    singular = inside & near
+    singular = np.minimum(np.abs(crit_vals[k - 1] - ys), np.abs(crit_vals[k] - ys)) < 1e-6
 
-    ys_in = ys[inside]
-    j, t = _psi_roots(system, ts, psi_grid, ys_in)
-    y = ys_in[j]
-    ft = signal.eval_array(t)
-    fphi = signal.eval_array(t + y)
-    dif = np.abs(ft - fphi)
-    if not dif.all():
+    ts = np.arange(_PSI_GRID + 1) / _PSI_GRID  # the node 1.0 wraps to 0
+    j, t = _psi_roots(system, ts, np.append(psi, psi[0]), ys)
+    y = ys[j]
+    slope = np.abs(_psi_slope(system, t, y))
+    if not slope.all():
         raise CriticalValueError(
-            f"y = {float(y[np.argmin(dif)])!r} is a critical value of the displacement"
+            f"y = {float(y[np.argmin(slope)])!r} is a critical value of the displacement"
         )
-    density = np.zeros_like(ys)
+    mu = signal.eval_array(t) / signal.mean()
     # bincount adds each y's terms in cell order, as a running sum would
-    density[inside] = np.bincount(j, weights=(ft / mean) * fphi / dif, minlength=ys_in.size)
+    density = np.bincount(j, weights=mu / slope, minlength=ys.size)
     return DensityCurve(ys, density, singular, (lo, hi))
 
 
@@ -512,33 +506,28 @@ class PerturbationReport:
 def perturbation_harness(
     base: IFSystem,
     perturbed: IFSystem,
-    grid_size: int = 256,
     orbit_len: int = 20_000,
     t0: float = 0.0,
 ) -> PerturbationReport:
     """Measure how far a perturbed system's firing map and ISI statistics
     stray from a base system's.
 
-    Sup norms are taken over a grid on [0, 1], which suffices because the
-    displacement of both maps is 1-periodic.  ``sup_dphi_dev`` takes only
-    the grid points where both maps are differentiable, so a step drive,
-    whose map has no slope where an input jumps at t or Phi(t), skips those
+    Sup norms are taken over a 256-point grid on [0, 1], which suffices
+    because the displacement of both maps is 1-periodic.  ``sup_dphi_dev``
+    takes both maps' slopes on the whole grid in one :func:`_slope` call
+    each, and only the points where both have one, so a step drive, whose
+    map has no slope where an input jumps at t or Phi(t), skips those
     points.  The distribution distance is the Fortet-Mourier distance
     between the runs' empirical ISI distributions.
     """
     if base.regime is not Regime.STRICT_LIF:
         raise ValueError("base system must be in the strict regime")
     perturbed.regime  # validate
-    ts = np.linspace(0.0, 1.0, grid_size)
+    ts = np.linspace(0.0, 1.0, 256)
     phi, phi_p = firing_times(base, ts), firing_times(perturbed, ts)
     sup_phi = float(np.max(np.abs(phi - phi_p), initial=0.0))
-    dphi = []
-    for t, a, b in zip(ts.tolist(), phi.tolist(), phi_p.tolist()):
-        try:
-            dphi.append(abs(_slope(base, t, a) - _slope(perturbed, t, b)))
-        except NotDifferentiableError:  # a jump of either input at t or Phi(t)
-            continue
-    sup_dphi = max(dphi, default=0.0)
+    dphi = np.abs(_slope(base, ts, phi) - _slope(perturbed, ts, phi_p))
+    sup_dphi = float(np.max(dphi[~np.isnan(dphi)], initial=0.0))
     d1 = empirical_isi_dist(isi_sequence(iterate(base, t0, orbit_len)))
     d2 = empirical_isi_dist(isi_sequence(iterate(perturbed, t0, orbit_len)))
     return PerturbationReport(sup_phi, sup_dphi, fortet_mourier(d1, d2))

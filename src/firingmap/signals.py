@@ -126,8 +126,8 @@ class PeriodicSignal(ABC):
         """Essential bounds (ess inf(f - sigma), ess sup f) over one period."""
 
     @abstractmethod
-    def is_continuous_at(self, t: float) -> bool:
-        """Whether f is continuous at t (up to a null set convention)."""
+    def is_continuous_at(self, t):
+        """Whether f is continuous at t, elementwise for an array (True broadcasts)."""
 
     def __call__(self, t: float) -> float:
         return self.eval(t)
@@ -251,7 +251,7 @@ class TrigPolynomial(PeriodicSignal):
         low = bound - tol - slack.max(axis=0)
         return float(low[:npos].min()), -float(low[npos:].min())
 
-    def is_continuous_at(self, t: float) -> bool:
+    def is_continuous_at(self, t):
         return True
 
 
@@ -332,9 +332,10 @@ class PiecewiseConstant(PeriodicSignal):
                 pts.append(b)
         return pts
 
-    def is_continuous_at(self, t: float) -> bool:
-        tau = t % 1.0
-        return all(abs(tau - b) > 1e-12 for b in self.jump_points())
+    def is_continuous_at(self, t):
+        # the distance to each jump on the circle, so a jump at 0 shows from below too
+        d = np.abs(np.subtract.outer(np.asarray(t, dtype=float) % 1.0, self.jump_points()))
+        return np.all(np.minimum(d, 1.0 - d) > 1e-12, axis=-1)
 
 
 class Sampled(PeriodicSignal):
@@ -365,7 +366,7 @@ class Sampled(PeriodicSignal):
     def essential_bounds(self, sigma: float) -> EssentialBounds:
         return EssentialBounds(float(self.values.min()) - sigma, float(self.values.max()))
 
-    def is_continuous_at(self, t: float) -> bool:
+    def is_continuous_at(self, t):
         return True
 
 

@@ -297,3 +297,21 @@ def psi_roots_oracle(system, ts, psi_grid, ys):
     js = np.concatenate([hit_j, j])
     by = np.lexsort((cells, js))
     return order[js[by]], np.concatenate([ts[hit_cell], roots])[by]
+
+
+def slope_oracle(system, t: float, phi: float) -> float:
+    """``firing._slope`` at one point by scalar evaluations: Phi'(t) given
+    phi = Phi(t), raising NotDifferentiableError where the map has no slope."""
+    from firingmap import NotDifferentiableError, Regime
+
+    regime = system.regime
+    sig = system.signal
+    if not sig.is_continuous_at(t) or not sig.is_continuous_at(phi):
+        raise NotDifferentiableError(f"input is discontinuous at t={t} or Phi(t)={phi}")
+    ft = sig.eval(t)
+    denom = sig.eval(phi) - system.sigma
+    if regime is Regime.NONNEG_PI and (ft <= 0.0 or denom <= 0.0):
+        raise NotDifferentiableError("input must be strictly positive at t and Phi(t)")
+    if abs(denom) < 1e-12:
+        raise NotDifferentiableError("f(Phi(t)) - sigma vanishes; slope is undefined")
+    return ft / denom * math.exp(-system.sigma * (phi - t))

@@ -209,8 +209,7 @@ def test_c10_continuity_harness():
     start = time.perf_counter()
     base = cosine_lif(0.25)
     reports = [
-        perturbation_harness(base, cosine_lif(0.25 + d), grid_size=256,
-                             orbit_len=20000)
+        perturbation_harness(base, cosine_lif(0.25 + d), orbit_len=20000)
         for d in (0.02, 0.01, 0.005)
     ]
     for bigger, smaller in zip(reports, reports[1:]):

@@ -258,6 +258,25 @@ def test_density_needs_pi(capsys):
     assert code == 1
 
 
+def test_density_names_the_strict_regime_it_needs(capsys):
+    # f touches 0: a nonnegative perfect integrator, not the strict regime
+    code, out, err = run_cli(
+        capsys, "density", "--sigma", "0", "--signal", "trig:2.41421356;1,2.41421356,0"
+    )
+    assert code == 1 and not out
+    assert err.startswith("firingmap: error:")
+    assert "strict regime, ess inf(f - sigma) > 0" in err and "displacement_range" not in err
+
+
+def test_compare_needs_two_firing_times(capsys):
+    code, out, err = run_cli(
+        capsys, "compare", "--sigma", "1", "--signal", "trig:2;1,0.5,0",
+        "--signal2", "trig:2;1,0.54,0", "--n", "1",
+    )
+    assert code == 1 and not out
+    assert err.startswith("firingmap: error:") and "two firing times" in err
+
+
 def test_compare_identity(capsys):
     code, out, _ = run_cli(
         capsys, "compare", "--sigma", "1", "--signal", "trig:2;1,0.5,0",

@@ -189,6 +189,24 @@ def test_derivative_rejects_discontinuity():
         derivative(system, 0.5)
 
 
+def test_derivative_rejects_a_jump_at_phi():
+    # f = 2 on [0, 1/2) and 1 after: Phi(1/4) = 1, a jump, while f is
+    # continuous at 1/4
+    system = IFSystem(0.0, PiecewiseConstant([0.0, 0.5], [2.0, 1.0]))
+    assert firing_time(system, 0.25) == 1.0
+    with pytest.raises(NotDifferentiableError, match=r"t=0\.25, Phi\(t\)=1\.0"):
+        derivative(system, 0.25)
+    assert derivative(system, 0.2) == pytest.approx(2.0)  # f(0.2)/f(Phi(0.2) = 0.9)
+
+
+def test_derivative_rejects_a_zero_of_f_under_the_nonnegative_pi():
+    system = pi_half_on()  # f = 0 on [1/2, 1)
+    with pytest.raises(NotDifferentiableError, match=r"t=0\.7,"):
+        derivative(system, 0.7)
+    with pytest.raises(NotDifferentiableError, match=r"t=1\.7,"):
+        derivative(system, 1.7)
+
+
 def PiecewiseConstantFixture():
     from firingmap import PiecewiseConstant
 
@@ -618,7 +636,7 @@ def test_perturbation_harness_does_not_depend_on_call_history():
         base, perturbed = cosine_lif(0.25), cosine_lif(0.27)
         if used:
             iterate(base, 0.1, 10), iterate(perturbed, 0.1, 10)
-        rep = perturbation_harness(base, perturbed, grid_size=256, orbit_len=2000)
+        rep = perturbation_harness(base, perturbed, orbit_len=2000)
         return np.array([rep.sup_phi_dev, rep.sup_dphi_dev, rep.d_f_isi]).tobytes()
 
     assert report(used=False) == report(used=True)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -15,14 +15,18 @@ from firingmap import (
     IllPosedError,
     InsufficientDataError,
     IsiSeq,
+    NoConvergenceError,
+    NotDifferentiableError,
     PiecewiseConstant,
     RationalRotationError,
+    Regime,
     Sampled,
     TrigPolynomial,
     check_measure_invariance,
     classify_regularity,
     cluster_values,
     constant,
+    derivative,
     displacement,
     displacement_range,
     empirical_isi_dist,
@@ -47,6 +51,7 @@ from helpers import (
     pi_half_on,
     psi_roots_oracle,
     recurrence_window_oracle,
+    slope_oracle,
     translation_lif,
 )
 
@@ -295,6 +300,54 @@ def test_displacement_range_requires_strict():
         displacement_range(pi_half_on())
 
 
+def _count_batches(monkeypatch) -> list:
+    """Record the lane count of every batched solve, through firing's binding
+    of ``_firing_batch`` and isi's own."""
+    lanes, batch = [], firing._firing_batch
+
+    def counted(system, ts, d=None):
+        lanes.append(ts.size)
+        return batch(system, ts, d)
+
+    monkeypatch.setattr(firing, "_firing_batch", counted)
+    monkeypatch.setattr(isi, "_firing_batch", counted)
+    return lanes
+
+
+def test_displacement_range_reads_the_table(monkeypatch):
+    # with the warm-start table built, Psi and Psi' at its nodes cost no
+    # batched solve; a 512-point grid of its own took one
+    system = cosine_lif(0.25)
+    firing._psi_table(system)
+    lanes = _count_batches(monkeypatch)
+    displacement_range(system)
+    assert lanes == []
+
+
+def test_isi_density_reads_the_table(monkeypatch):
+    # the level-set search runs its rounds, but Psi at the 2,049 nodes is
+    # not solved again
+    lanes = _count_batches(monkeypatch)
+    isi_density_pi(golden_pi().signal)
+    assert lanes and firing._PSI_GRID + 1 not in lanes
+
+
+def test_displacement_analyses_raise_on_an_empty_table():
+    system = cosine_lif(0.25)
+    system._psi = ()  # as when the table's solve does not converge
+    with pytest.raises(NoConvergenceError, match="nodes j/2048"):
+        displacement_range(system)
+
+
+def test_density_names_the_strict_regime_it_needs():
+    # f = a (1 + cos 2 pi t) touches 0: a nonnegative perfect integrator
+    sig = TrigPolynomial(2.41421356, [(1, 2.41421356, 0.0)])
+    with pytest.raises(ValueError, match=r"strict regime, ess inf\(f - sigma\) > 0") as info:
+        isi_density_pi(sig)
+    assert "displacement_range" not in str(info.value)
+    assert "certified bound is" in str(info.value)
+
+
 def test_empirical_dist_atom():
     dist = empirical_isi_dist(IsiSeq(np.array([3.0, 3.0, 3.0])))
     assert dist.cdf(2.999999) == 0.0
@@ -471,9 +524,93 @@ def test_psi_roots_match_bisection(case):
     assert np.all(np.abs(firing_times(system, t) - t - ys[j]) <= 2.0 * radius)
 
 
+@st.composite
+def slope_cases(draw):
+    """A strict base system at sigma > 0 with a trig, step or sampled drive,
+    and a perturbed one: a drive of the same kind at sigma > 0, or a
+    nonnegative perfect integrator whose drive touches or holds 0."""
+    kind = draw(st.sampled_from(["trig", "step", "sampled"]))
+    level = st.floats(0.2, 3.0)
+
+    def drive(floor, values):
+        if kind == "trig":
+            ks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+            hs = [(k, draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))) for k in ks]
+            return TrigPolynomial(floor + sum(abs(c) + abs(s) for _, c, s in hs)
+                                  + draw(st.floats(0.0, 1.0)), hs)
+        if kind == "step":
+            inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+            breaks = [0.0] + sorted(inner)
+            return PiecewiseConstant(breaks, [floor + draw(values) for _ in breaks])
+        return Sampled([floor + draw(values) for _ in range(draw(st.integers(2, 40)))])
+
+    sigma = draw(st.sampled_from([0.25, 1.0, 2.5]))
+    base = IFSystem(sigma, drive(sigma + 0.2, level))
+    if draw(st.booleans()):
+        sigma2 = draw(st.sampled_from([0.25, 1.0, 2.5]))
+        return base, IFSystem(sigma2, drive(sigma2 + 0.2, level))
+    if kind == "trig":
+        a, k = draw(st.floats(0.5, 3.0)), draw(st.integers(1, 3))
+        perturbed = TrigPolynomial(a, [(k, a, 0.0)])  # a (1 + cos 2 pi k t)
+    else:
+        perturbed = drive(0.0, st.sampled_from([0.0, 0.0, 0.5, 1.5, 3.0]))
+        assume(perturbed.mean() > 0.0)
+    return base, IFSystem(0.0, perturbed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slope_cases())
+def test_slopes_match_the_scalar_oracle(case):
+    base, perturbed = case
+    assert base.regime is Regime.STRICT_LIF and perturbed.regime is not None
+    ts = np.linspace(0.0, 1.0, 256)
+    devs, scale = [], 0.0
+    for t, a, b in zip(ts.tolist(), firing_times(base, ts).tolist(),
+                       firing_times(perturbed, ts).tolist()):
+        try:
+            da, db = slope_oracle(base, t, a), slope_oracle(perturbed, t, b)
+        except NotDifferentiableError:  # where either map has no slope
+            continue
+        devs.append(abs(da - db))
+        scale = max(scale, abs(da), abs(db))
+    got = perturbation_harness(base, perturbed, orbit_len=10).sup_dphi_dev
+    want = max(devs, default=0.0)
+    # relative, but where the slopes nearly cancel (two constant drives) only
+    # their last bits are left, so a few ulps of the slopes themselves too
+    assert abs(got - want) <= 1e-12 * want + 1e-15 * scale
+    # derivative: the grid, and for a step drive its jumps and points 1e-13
+    # from them on either side
+    for system in (base, perturbed):
+        pts = ts[::5].tolist()
+        if isinstance(system.signal, PiecewiseConstant):
+            pts += [b + e for b in system.signal.jump_points() for e in (-1e-13, 0.0, 1e-13)]
+        for t in pts:
+            try:
+                want = slope_oracle(system, t, firing_time(system, t))
+            except NotDifferentiableError:
+                with pytest.raises(NotDifferentiableError):
+                    derivative(system, t)
+            else:
+                assert derivative(system, t) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_perturbation_harness_makes_no_scalar_evaluations():
+    # both maps' slopes come from one array call each; scalar slopes made
+    # two evaluations of f per grid point and system
+    base, perturbed = cosine_lif(0.25), cosine_lif(0.27)
+    calls = []
+    for sig in (base.signal, perturbed.signal):
+        kern = sig.kernel(0.0)
+        sig._kernels[0.0] = lambda x, kern=kern: calls.append(x) or kern(x)
+    perturbation_harness(base, perturbed, orbit_len=2000)
+    assert calls == []
+    base.signal.eval(0.3)  # the wrapper sees scalar evaluations
+    assert calls == [0.3]
+
+
 def test_perturbation_harness_identity():
     base = cosine_lif(0.25)
-    rep = perturbation_harness(base, cosine_lif(0.25), grid_size=64, orbit_len=2000)
+    rep = perturbation_harness(base, cosine_lif(0.25), orbit_len=2000)
     assert rep.sup_phi_dev == 0.0
     assert rep.sup_dphi_dev == 0.0
     assert rep.d_f_isi == 0.0
@@ -482,7 +619,7 @@ def test_perturbation_harness_identity():
 def test_perturbation_harness_decreases_with_delta():
     base = cosine_lif(0.25)
     reports = [
-        perturbation_harness(base, cosine_lif(0.25 + d), grid_size=128, orbit_len=5000)
+        perturbation_harness(base, cosine_lif(0.25 + d), orbit_len=5000)
         for d in (0.02, 0.01)
     ]
     assert reports[1].sup_phi_dev < reports[0].sup_phi_dev
@@ -493,7 +630,7 @@ def test_perturbation_harness_decreases_with_delta():
 def test_perturbation_from_atomic_base():
     # a Dirac-atom ISI distribution is still close to a nearby spread one
     base = cosine_lif(0.0)
-    rep = perturbation_harness(base, cosine_lif(0.1), grid_size=64, orbit_len=5000)
+    rep = perturbation_harness(base, cosine_lif(0.1), orbit_len=5000)
     assert 0.0 < rep.d_f_isi < 0.05
 
 

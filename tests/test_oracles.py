@@ -116,7 +116,7 @@ def test_multi_harmonic_density_transport():
 
     sig = TrigPolynomial(GOLDEN_A0, [(1, 0.35, 0.0), (2, 0.0, 0.2)])
     system = IFSystem(0.0, sig)
-    curve = isi_density_pi(sig, n_y=768, root_grid_size=4096)
+    curve = isi_density_pi(sig)
     assert curve.integral() == pytest.approx(1.0, abs=0.02)
     emp = empirical_isi_dist(isi_sequence(iterate(system, 0.0, 200_000)))
     cdf = curve.cdf()

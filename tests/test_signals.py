@@ -6,10 +6,13 @@ from scipy.integrate import quad
 
 from firingmap import (
     EssentialBounds,
+    IFSystem,
+    NotDifferentiableError,
     PiecewiseConstant,
     Sampled,
     TrigPolynomial,
     constant,
+    derivative,
     parse_signal,
     signal_spec,
 )
@@ -20,6 +23,21 @@ from helpers import half_on_half_off, mp_weighted_integral
 def test_trig_eval_at_zero():
     sig = TrigPolynomial(2.0, [(1, 0.8, 0.0)])
     assert sig.eval(0.0) == pytest.approx(2.8, abs=1e-15)
+
+
+def test_is_continuous_at_measures_the_distance_to_a_jump_on_the_circle():
+    # the jump at 0 lies 1e-13 from -1e-13 and from 1 - 1e-13 too
+    sig = PiecewiseConstant([0.0, 0.5], [3.0, 1.0])
+    ts = [-1e-13, 1e-13, 1.0 - 1e-13, 0.5 - 1e-13, 0.5 + 1e-13, 0.25, 1e-11, -1e-11]
+    want = [False, False, False, False, False, True, True, True]
+    assert [bool(sig.is_continuous_at(t)) for t in ts] == want
+    assert sig.is_continuous_at(np.array(ts)).tolist() == want
+    assert TrigPolynomial(2.0, [(1, 0.5, 0.0)]).is_continuous_at(np.array(ts)) is True
+    system = IFSystem(0.5, sig)
+    with pytest.raises(NotDifferentiableError, match=r"t=-1e-13"):
+        derivative(system, -1e-13)
+    with pytest.raises(NotDifferentiableError, match=r"t=1e-13"):
+        derivative(system, 1e-13)
 
 
 def test_pwc_eval_inside_and_periodic():

@@ -101,3 +101,16 @@ def test_orbit_digest_prints_density_and_range_lines():
     # a range line ends with lo and hi, lo < hi
     for line in lines[2:]:
         assert len(line) == 4 and float(line[2]) < float(line[3])
+
+
+def test_orbit_digest_prints_harness_lines():
+    od = _load_orbit_digest()
+    buf = io.StringIO()
+    od.harness(out=buf)
+    lines = [line.split() for line in buf.getvalue().splitlines()]
+    # the workload's two pairs and the step pair
+    assert [line[0] for line in lines] == ["harness/0", "harness/1", "harness/2"]
+    for line in lines:
+        assert len(line) == 5 and len(line[1]) == 16 and int(line[1], 16) >= 0
+        sup_phi, sup_dphi, d_f = map(float, line[2:])
+        assert 0.0 < sup_phi < 0.1 and 0.0 < sup_dphi and 0.0 < d_f < 0.1

@@ -20,6 +20,10 @@ Before that last line, and outside its hash, come the grid analyses of the
 first 16 hex digits of the sha256 of its y grid, density and singular flags
 and the number of roots of its level-set search, and for each
 ``displacement_range`` system one with the hash of (lo, hi) and the values.
+Then, also outside it, one line per ``perturbation_harness`` pair: the
+workload's two pairs and a step-drive pair (a breakpoint moved from 0.5 to
+0.51 at sigma = 1), each with the hash and the values of (sup_phi_dev,
+sup_dphi_dev, d_f_isi).
 """
 
 from __future__ import annotations
@@ -45,6 +49,15 @@ def load_specs():
     return module
 
 
+def load_program():
+    """The package ``firingmap`` of this checkout's ``src``."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    import firingmap
+
+    return firingmap
+
+
 def count_kernel_calls(system) -> list[int]:
     """Wrap the scalar kernel of the system's drive with a call counter."""
     sig, sigma = system.signal, system.sigma
@@ -60,10 +73,7 @@ def count_kernel_calls(system) -> list[int]:
 
 def digest(n: int, out=None) -> tuple[int, str]:
     """Write the per-system lines to ``out`` (default stdout); return (value count, sha256 hex)."""
-    if SRC not in sys.path:
-        sys.path.insert(0, SRC)
-    import firingmap as fm
-
+    fm = load_program()
     specs = load_specs()
     total, count = hashlib.sha256(), 0
     for workload in specs.WORKLOADS:
@@ -99,10 +109,7 @@ def _hash(*arrays) -> str:
 
 def analyses(out=None) -> None:
     """Write the density and displacement-range lines to ``out`` (default stdout)."""
-    if SRC not in sys.path:
-        sys.path.insert(0, SRC)
-    import firingmap as fm
-
+    fm = load_program()
     specs = load_specs()
     systems = specs.build_systems(fm, "isi-density")
     roots, search = [], fm.isi._psi_roots
@@ -125,9 +132,25 @@ def analyses(out=None) -> None:
         print(f"range/beta={beta!r} {_hash(np.array([lo, hi]))} {lo!r} {hi!r}", file=out)
 
 
+def harness(out=None) -> None:
+    """Write the perturbation-harness lines to ``out`` (default stdout)."""
+    fm = load_program()
+    specs = load_specs()
+    systems = specs.build_systems(fm, "isi-density")
+    step = [fm.firing.IFSystem(1.0, fm.signals.parse_signal(s))
+            for s in ("pwc:0,3;0.5,1.6", "pwc:0,3;0.51,1.6")]
+    pairs = [(systems["beta=0.25"], systems[f"perturbed{i}"])
+             for i in range(len(specs.PERTURBATIONS))] + [tuple(step)]
+    for i, (base, perturbed) in enumerate(pairs):
+        rep = fm.isi.perturbation_harness(base, perturbed)
+        values = (rep.sup_phi_dev, rep.sup_dphi_dev, rep.d_f_isi)
+        print(f"harness/{i} {_hash(np.array(values))} " + " ".join(map(repr, values)), file=out)
+
+
 def main():
     count, sha = digest(20_000)
     analyses()
+    harness()
     print(f"values {count} sha256 {sha}")
 
 
